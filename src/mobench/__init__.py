@@ -8,7 +8,6 @@ problems, four front quality indicators, and a seeded experiment harness.
 from .archive import ParetoArchive
 from .dominance import (
     FrontPartition,
-    crowded_compare,
     crowding_distance,
     dominates,
     non_dominated_sort,
@@ -24,7 +23,7 @@ from .errors import (
 from .metrics import EnsembleStats, IndicatorReport, aggregate, gd, max_spread, rgd, spacing
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
-from .problems import Continuous, Discrete, Integer, ProblemSpec, Solution, decode, evaluate
+from .problems import Continuous, Discrete, Integer, ProblemSpec, decode, evaluate
 from .results import RunResult
 from .suite import (
     ReferenceFront,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ParetoArchive",
     "FrontPartition",
-    "crowded_compare",
     "crowding_distance",
     "dominates",
     "non_dominated_sort",
@@ -64,7 +62,6 @@ __all__ = [
     "Discrete",
     "Integer",
     "ProblemSpec",
-    "Solution",
     "decode",
     "evaluate",
     "RunResult",

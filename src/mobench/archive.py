@@ -1,12 +1,12 @@
-"""Bounded external archive of mutually non-dominated solutions.
+"""Bounded external archive of mutually non-dominated objective vectors.
 
 The archive stores the best front found across a whole run. Inserting a
-dominated or objective-duplicate candidate is a no-op; an accepted
-candidate evicts every member it dominates, and overflow is resolved by
-repeatedly dropping the member with the smallest finite crowding distance
-(recomputed after each removal) until the capacity holds. Members with
-infinite crowding (per-objective extremes) are only ever dropped when no
-finite-crowding member remains.
+dominated or duplicate objective vector is a no-op; an accepted one evicts
+every member it dominates, and overflow is resolved by repeatedly dropping
+the member with the smallest finite crowding distance (recomputed after
+each removal) until the capacity holds. Members with infinite crowding
+(per-objective extremes) are only ever dropped when no finite-crowding
+member remains.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .dominance import crowding_distance
 from .errors import InvalidConfigError
-from .problems import Solution
 
 
 class ParetoArchive:
@@ -23,11 +22,10 @@ class ParetoArchive:
         if capacity < 1:
             raise InvalidConfigError("archive capacity must be >= 1")
         self.capacity = capacity
-        self.members: list[Solution] = []
-        self._F: np.ndarray | None = None  # kept aligned with members
+        self._F: np.ndarray | None = None  # one row per member
 
     def __len__(self) -> int:
-        return len(self.members)
+        return 0 if self._F is None else len(self._F)
 
     def objectives(self) -> np.ndarray:
         """Objective matrix of the current members, one row per member."""
@@ -35,16 +33,15 @@ class ParetoArchive:
             return np.empty((0, 0))
         return self._F.copy()
 
-    def insert(self, candidate: Solution) -> bool:
-        """Offer an evaluated solution to the archive.
+    def insert(self, f) -> bool:
+        """Offer an objective vector to the archive.
 
-        Returns True iff the candidate was accepted. Rejected when any
-        member dominates it or matches its objective vector exactly
-        (duplicates corrupt spacing and crowding statistics).
+        Returns True iff it was accepted. Rejected when any member
+        dominates it or matches it exactly (duplicates corrupt spacing and
+        crowding statistics).
         """
-        cf = np.asarray(candidate.f, dtype=float)
+        cf = np.asarray(f, dtype=float)
         if self._F is None:
-            self.members = [candidate]
             self._F = cf[None, :].copy()
             return True
         F = self._F
@@ -57,17 +54,15 @@ class ParetoArchive:
         gt = (F > cf).any(axis=1)
         keep = ~(ge & gt)
         if not keep.all():
-            self.members = [s for s, k in zip(self.members, keep) if k]
             F = F[keep]
-        self.members.append(candidate)
         self._F = np.concatenate([F, cf[None, :]], axis=0)
-        if len(self.members) > self.capacity:
+        if len(self._F) > self.capacity:
             self.truncate()
         return True
 
     def truncate(self) -> None:
         """Drop lowest-crowding members one at a time until within capacity."""
-        while len(self.members) > self.capacity:
+        while len(self) > self.capacity:
             crowd = crowding_distance(self._F)
             finite = np.isfinite(crowd)
             if finite.any():
@@ -75,11 +70,4 @@ class ParetoArchive:
                 drop = int(candidates[np.argmin(crowd[candidates])])
             else:
                 drop = 0
-            del self.members[drop]
             self._F = np.delete(self._F, drop, axis=0)
-
-    def export_csv(self, path) -> None:
-        """Write the archived front as CSV, 17 significant digits per value."""
-        from .results import write_front_csv
-
-        write_front_csv(path, self.objectives())

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
-from .harness import CampaignConfig, load_summaries, run_campaign, tabulate
+from .harness import ALGORITHMS, CampaignConfig, load_summaries, run_campaign, tabulate
 from .metrics import score_front
 from .results import read_front_csv
 from .suite import get_problem, load_reference_csv, problem_names
@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a seeded multi-run campaign")
-    run_p.add_argument("--algo", required=True, choices=("molpb", "nsga2"))
+    run_p.add_argument("--algo", required=True, choices=ALGORITHMS)
     run_p.add_argument("--problem", required=True, help="registered problem name")
     run_p.add_argument("--runs", type=int, default=30, help="independent runs (default 30)")
     run_p.add_argument(

@@ -8,12 +8,10 @@ partition is deterministic for a given input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError
-from .problems import Solution
+from .errors import InvalidInputError
 
 
 def dominates(a, b) -> bool:
@@ -39,13 +37,6 @@ class FrontPartition:
     """Ordered fronts of input indices; front 0 is the non-dominated set."""
 
     fronts: tuple[tuple[int, ...], ...]
-
-    def rank_of(self) -> np.ndarray:
-        n = sum(len(f) for f in self.fronts)
-        ranks = np.empty(n, dtype=int)
-        for r, front in enumerate(self.fronts):
-            ranks[list(front)] = r
-        return ranks
 
 
 def non_dominated_sort(points) -> FrontPartition:
@@ -90,57 +81,36 @@ def crowding_distance(front) -> np.ndarray:
     return dist
 
 
-def crowded_compare(a: Solution, b: Solution, index_a: int = 0, index_b: int = 1) -> int:
-    """Crowded-comparison: negative if ``a`` precedes ``b``.
-
-    Lower rank wins; equal ranks prefer the larger crowding distance; exact
-    ties fall back to the original index so orderings stay deterministic.
-    """
-    for sol in (a, b):
-        if sol.rank is None or sol.crowding is None:
-            raise InvalidStateError("crowded_compare needs rank and crowding to be set")
-    if a.rank != b.rank:
-        return -1 if a.rank < b.rank else 1
-    if a.crowding != b.crowding:
-        return -1 if a.crowding > b.crowding else 1
-    return -1 if index_a < index_b else 1
-
-
-def rank_and_crowd(solutions: Sequence[Solution]) -> FrontPartition:
-    """Assign rank and (per-front) crowding distance to every solution."""
-    F = np.array([s.f for s in solutions], dtype=float)
+def rank_and_crowd(points) -> tuple[FrontPartition, np.ndarray, np.ndarray]:
+    """Non-dominated partition of objective rows plus each row's rank
+    (front number) and crowding distance within its front."""
+    F = np.asarray(points, dtype=float)
     partition = non_dominated_sort(F)
+    rank = np.empty(len(F), dtype=int)
+    crowd = np.empty(len(F))
     for r, front in enumerate(partition.fronts):
         idx = list(front)
-        crowd = crowding_distance(F[idx])
-        for pos, i in enumerate(idx):
-            solutions[i].rank = r
-            solutions[i].crowding = float(crowd[pos])
-    return partition
+        rank[idx] = r
+        crowd[idx] = crowding_distance(F[idx])
+    return partition, rank, crowd
 
 
-def crowded_order(solutions: Sequence[Solution]) -> list[int]:
-    """Indices sorted by the crowded comparison (rank, then crowding, then
-    original index). Requires rank/crowding to be set."""
-    for s in solutions:
-        if s.rank is None or s.crowding is None:
-            raise InvalidStateError("crowded_order needs rank and crowding to be set")
-    return sorted(range(len(solutions)), key=lambda i: (solutions[i].rank, -solutions[i].crowding, i))
+def crowded_order(rank, crowd) -> np.ndarray:
+    """Indices sorted by the crowded comparison: lower rank first, then
+    larger crowding distance, then lower index."""
+    return np.lexsort((-np.asarray(crowd, dtype=float), np.asarray(rank)))
 
 
-def environmental_selection(
-    solutions: Sequence[Solution], partition: FrontPartition, k: int
-) -> list[Solution]:
-    """Keep the best ``k`` solutions: whole fronts while they fit, then the
+def environmental_selection(partition: FrontPartition, crowd, k: int) -> np.ndarray:
+    """Indices of the best ``k`` rows: whole fronts while they fit, then the
     overflowing front by descending crowding distance."""
+    crowd = np.asarray(crowd, dtype=float)
     chosen: list[int] = []
     for front in partition.fronts:
         if len(chosen) + len(front) <= k:
             chosen.extend(front)
             continue
-        crowd = np.array([solutions[i].crowding for i in front])
-        order = np.argsort(-crowd, kind="stable")
-        need = k - len(chosen)
-        chosen.extend(front[j] for j in order[:need])
+        order = np.argsort(-crowd[list(front)], kind="stable")
+        chosen.extend(front[j] for j in order[: k - len(chosen)])
         break
-    return [solutions[i] for i in chosen]
+    return np.array(chosen, dtype=int)

@@ -10,14 +10,17 @@ per metric plus total wall time).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import molpb, nsga2
 from .errors import InvalidConfigError
 from .metrics import IndicatorReport, aggregate, score_front
+from .molpb import MolpbConfig, MolpbEngine
+from .nsga2 import Nsga2Config, Nsga2Engine
 from .results import write_front_csv
 from .suite import (
     ReferenceFront,
@@ -28,7 +31,9 @@ from .suite import (
     merged_reference_front,
 )
 
-ALGORITHMS = ("molpb", "nsga2")
+ENGINES = {"molpb": (MolpbEngine, MolpbConfig), "nsga2": (Nsga2Engine, Nsga2Config)}
+
+ALGORITHMS = tuple(ENGINES)
 
 STAT_ROWS = ("Ave.GD", "Ave.MS", "Ave.RGD", "Ave.S", "Std.GD", "Std.MS", "Std.RGD", "Std.S", "PT")
 
@@ -65,22 +70,16 @@ class CampaignConfig:
 
 
 def _execute_run(algorithm: str, problem_name: str, population: int, generations: int, seed: int):
-    problem = get_problem(problem_name)
-    if algorithm == "molpb":
-        config = molpb.MolpbConfig(
+    engine, config = ENGINES[algorithm]
+    return engine(
+        config(
             n_pop=population,
             archive_capacity=population,
             max_generations=generations,
             seed=seed,
-        )
-        return molpb.run(config, problem)
-    config = nsga2.Nsga2Config(
-        n_pop=population,
-        archive_capacity=population,
-        max_generations=generations,
-        seed=seed,
-    )
-    return nsga2.run(config, problem)
+        ),
+        get_problem(problem_name),
+    ).run()
 
 
 def resolve_reference(
@@ -97,8 +96,10 @@ def resolve_reference(
 
     An explicit CSV path wins; ZDT problems fall back to their analytic
     fronts; engineering problems fall back to a merged front built from
-    long runs of both algorithms, cached as reference_<problem>.csv in
-    ``cache_dir`` so later calls reload instead of recomputing.
+    long runs of both algorithms. That front is cached in ``cache_dir``
+    under a name that records the builder's runs, generations, population
+    and seed, so later calls with the same budget reload it and calls with
+    another budget build their own.
     """
     if path is not None:
         return load_reference_csv(path)
@@ -109,7 +110,10 @@ def resolve_reference(
             f"{problem_name}: building a merged reference front needs a cache directory"
         )
     cache_dir = Path(cache_dir)
-    cache_file = cache_dir / f"reference_{problem_name.lower()}.csv"
+    cache_file = cache_dir / (
+        f"reference_{problem_name.lower()}_r{builder_runs}_g{builder_generations}"
+        f"_p{builder_population}_s{builder_seed}.csv"
+    )
     if cache_file.exists():
         loaded = load_reference_csv(cache_file)
         return ReferenceFront(points=loaded.points, source="merged-runs")
@@ -123,7 +127,16 @@ def resolve_reference(
                 fronts.append(result.front)
     reference = merged_reference_front(fronts)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    write_front_csv(cache_file, reference.points)
+    # write a temp file next to the cache and rename it, so an interrupted
+    # build never leaves a truncated cache that later calls would trust
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{cache_file.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        write_front_csv(tmp, reference.points)
+        os.replace(tmp, cache_file)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return reference
 
 

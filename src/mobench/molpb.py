@@ -14,260 +14,119 @@ whose contents are the reported front.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import cycle
 
 import numpy as np
 
-from .archive import ParetoArchive
-from .dominance import (
-    crowded_order,
-    dominates,
-    environmental_selection,
-    rank_and_crowd,
-)
-from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
-from .operators import (
-    VariationConfig,
-    default_offspring_count,
-    dp_split_size,
-    polynomial_mutation,
-    sbx_crossover,
-)
-from .problems import ProblemSpec, Solution, decode, evaluate
-from .results import RunResult
+from .dominance import crowded_order, rank_and_crowd
+from .engine import Engine, EngineConfig
+from .errors import InvalidInputError, InvalidStateError
+from .operators import dp_split_size
 
 
-@dataclass(frozen=True)
-class MolpbConfig:
-    """Run parameters; the defaults are the standard benchmark settings
-    (population 100, dp 0.6, 140 offspring, mutation 0.02, archive 100,
-    350 generations)."""
+@dataclass(frozen=True, kw_only=True)
+class MolpbConfig(EngineConfig):
+    """Engine settings plus the separated fraction ``dp`` (default 0.6)."""
 
-    n_pop: int = 100
     dp: float = 0.6
-    offspring_count: Optional[int] = None
-    mutation_prob: float = 0.02
-    sbx_eta: float = 20.0
-    pm_eta: float = 20.0
-    archive_capacity: int = 100
-    max_generations: int = 350
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n_pop < 4:
-            raise InvalidConfigError("n_pop must be >= 4")
-        if self.max_generations < 0:
-            raise InvalidConfigError("max_generations must be >= 0")
-        if self.offspring_count is None:
-            object.__setattr__(self, "offspring_count", default_offspring_count(self.n_pop))
-        dp_split_size(self.n_pop, self.dp)  # validates dp range
-        self.variation()
-
-    def variation(self) -> VariationConfig:
-        return VariationConfig(
-            offspring_count=self.offspring_count,
-            mutation_prob=self.mutation_prob,
-            sbx_eta=self.sbx_eta,
-            pm_eta=self.pm_eta,
-        )
+        super().__post_init__()
+        dp_split_size(self.n_pop, self.dp)  # validates dp and n_pop >= 4
 
 
-@dataclass
-class SubPopulations:
-    """The five groups a generation works with: the separated good/bad
-    halves plus the perfect / good / bad routing buckets of the (filtered)
-    main population."""
-
-    good: list[Solution]
-    bad: list[Solution]
-    perfect: list[Solution]
-    good_extension: list[Solution]
-    bad_extension: list[Solution]
-
-
-def split_good_bad(separated: Sequence[Solution]) -> tuple[list[Solution], list[Solution]]:
-    """Order the separated group by crowded dominance and split it: the
-    best floor(S/2) become the good half, the remainder the bad half."""
-    if len(separated) < 2:
+def split_good_bad(F) -> tuple[np.ndarray, np.ndarray]:
+    """Order the separated group's objective rows by crowded dominance and
+    split it: the best floor(S/2) row indices are the good half, the
+    remainder the bad half."""
+    if len(F) < 2:
         raise InvalidInputError("split_good_bad needs at least two solutions")
-    separated = list(separated)
-    rank_and_crowd(separated)
-    order = crowded_order(separated)
-    half = len(separated) // 2
-    ordered = [separated[i] for i in order]
-    return ordered[:half], ordered[half:]
+    _, rank, crowd = rank_and_crowd(F)
+    order = crowded_order(rank, crowd)
+    half = len(F) // 2
+    return order[:half], order[half:]
 
 
-def best_of_bad(bad: Sequence[Solution]) -> Solution:
-    """The crowded-comparison minimum of the bad half (ranked within the
-    bad half alone)."""
-    if len(bad) == 0:
+def best_of_bad(F) -> int:
+    """Row index of the crowded-comparison minimum of the bad half (ranked
+    within the bad half alone)."""
+    if len(F) == 0:
         raise InvalidStateError("bad population is empty")
-    bad = list(bad)
-    rank_and_crowd(bad)
-    return bad[crowded_order(bad)[0]]
+    _, rank, crowd = rank_and_crowd(F)
+    return int(crowded_order(rank, crowd)[0])
 
 
-def filter_main(main: Sequence[Solution], best_bad: Solution) -> list[Solution]:
-    """Drop main-population members dominated by the bad half's best."""
-    return [s for s in main if not dominates(best_bad.f, s.f)]
+def filter_main(F, best_bad) -> np.ndarray:
+    """Indices of the main-population rows not dominated by ``best_bad``."""
+    F = np.asarray(F, dtype=float)
+    best_bad = np.asarray(best_bad, dtype=float)
+    dominated = (best_bad <= F).all(axis=1) & (best_bad < F).any(axis=1)
+    return np.flatnonzero(~dominated)
 
 
-def _precedes(a: Solution, b: Solution) -> bool:
-    return a.rank < b.rank or (a.rank == b.rank and a.crowding > b.crowding)
-
-
-def _ties(a: Solution, b: Solution) -> bool:
-    return a.rank == b.rank and a.crowding == b.crowding
-
-
-def route_main(
-    main: Sequence[Solution], good: Sequence[Solution], bad: Sequence[Solution]
-) -> SubPopulations:
-    """Route each main-population member relative to the pivot solutions.
+def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route each main-population row relative to the pivot solutions.
 
     Ranks and crowding are computed jointly over main + good + bad. A
     member that the bad pivot precedes or ties goes to the bad bucket; one
     that strictly precedes the good pivot goes to perfect; everything else
-    extends the good population.
+    extends the good population. Returns the (perfect, good extension, bad
+    extension) row indices into ``main``.
     """
     if len(good) == 0 or len(bad) == 0:
         raise InvalidStateError("route_main needs non-empty good and bad halves")
-    main = list(main)
-    good = list(good)
-    bad = list(bad)
-    joint = main + good + bad
-    rank_and_crowd(joint)
+    n_main, n_good = len(main), len(good)
+    _, rank, crowd = rank_and_crowd(np.concatenate([main, good, bad]))
 
-    def pivot(group: list[Solution]) -> Solution:
-        return group[crowded_order(group)[0]]
+    def pivot(lo: int, hi: int) -> int:
+        return lo + int(crowded_order(rank[lo:hi], crowd[lo:hi])[0])
 
-    best_bad = pivot(bad)
-    best_good = pivot(good)
-    perfect: list[Solution] = []
-    good_ext: list[Solution] = []
-    bad_ext: list[Solution] = []
-    for member in main:
-        if _precedes(best_bad, member) or _ties(best_bad, member):
-            bad_ext.append(member)
-        elif _precedes(member, best_good):
-            perfect.append(member)
-        else:
-            good_ext.append(member)
-    return SubPopulations(
-        good=good, bad=bad, perfect=perfect, good_extension=good_ext, bad_extension=bad_ext
+    def precedes(p: int) -> np.ndarray:
+        # main members ranked strictly ahead of row p
+        r, c = rank[:n_main], crowd[:n_main]
+        return (r < rank[p]) | ((r == rank[p]) & (c > crowd[p]))
+
+    best_good = pivot(n_main, n_main + n_good)
+    best_bad = pivot(n_main + n_good, len(rank))
+    to_bad = ~precedes(best_bad)
+    ahead = precedes(best_good)
+    return (
+        np.flatnonzero(~to_bad & ahead),
+        np.flatnonzero(~to_bad & ~ahead),
+        np.flatnonzero(to_bad),
     )
 
 
-class MolpbEngine:
-    """One seeded MOLPB run over a problem; owns its rng, population, and
-    archive, so separate instances can run concurrently."""
-
+class MolpbEngine(Engine):
     algorithm = "molpb"
 
-    def __init__(self, config: MolpbConfig, problem: ProblemSpec):
-        self.config = config
-        self.problem = problem
-        self.rng = np.random.default_rng(config.seed)
-        self.archive = ParetoArchive(config.archive_capacity)
-        self.population: list[Solution] = []
-        self.evaluations = 0
-        self.generation = 0
-        self.front_size_trace: list[int] = []
-        self.evaluation_trace: list[int] = []
+    def mating(self):
+        """Split and route the population, then cycle through the parent
+        pairs: good-half pairs, good-half members against main-population
+        partners, and routed good members against the perfect bucket,
+        borrowing from the bad half when it runs out."""
+        cfg, F = self.config, self.F
+        perm = self.rng.permutation(cfg.n_pop)
+        split = dp_split_size(cfg.n_pop, cfg.dp)
+        separated, main = perm[:split], perm[split:]
+        good_rows, bad_rows = split_good_bad(F[separated])
+        good, bad = separated[good_rows], separated[bad_rows]
+        main = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
+        perfect, extension, _ = route_main(F[main], F[good], F[bad])
+        perfect, extension = main[perfect], main[extension]
 
-    def _spawn(self, x_raw: np.ndarray) -> Solution:
-        sol = evaluate(self.problem, decode(x_raw, self.problem))
-        self.evaluations += 1
-        return sol
-
-    def _record(self) -> None:
-        self.front_size_trace.append(len(self.archive))
-        self.evaluation_trace.append(self.evaluations)
-
-    def initialize(self) -> None:
-        """Uniform random population; the archive starts from its
-        non-dominated subset."""
-        cfg, p = self.config, self.problem
-        X = self.rng.uniform(p.lower, p.upper, size=(cfg.n_pop, p.n_vars))
-        self.population = [self._spawn(row) for row in X]
-        partition = rank_and_crowd(self.population)
-        for i in partition.fronts[0]:
-            self.archive.insert(self.population[i])
-        self._record()
-
-    def _pair_schedule(self, good, subs: SubPopulations, filtered_main) -> list:
         first_half = good[: (len(good) + 1) // 2]
         second_half = good[(len(good) + 1) // 2 :]
-        pairs = []
-        for i in range(0, len(first_half) - 1, 2):
-            pairs.append((first_half[i], first_half[i + 1]))
+        pairs = [(first_half[i], first_half[i + 1]) for i in range(0, len(first_half) - 1, 2)]
         if len(first_half) % 2 == 1:
             pairs.append((first_half[-1], first_half[0]))
-        partner_pool = filtered_main if filtered_main else subs.bad
+        partners = main if len(main) else bad
         for member in second_half:
-            partner = partner_pool[int(self.rng.integers(len(partner_pool)))]
-            pairs.append((member, partner))
-        for i, member in enumerate(subs.good_extension):
-            if i < len(subs.perfect):
-                partner = subs.perfect[i]
+            pairs.append((member, partners[int(self.rng.integers(len(partners)))]))
+        for i, member in enumerate(extension):
+            if i < len(perfect):
+                pairs.append((member, perfect[i]))
             else:
-                partner = subs.bad[(i - len(subs.perfect)) % len(subs.bad)]
-            pairs.append((member, partner))
-        return pairs
-
-    def step(self) -> None:
-        """Advance one generation."""
-        cfg, p = self.config, self.problem
-        split = dp_split_size(cfg.n_pop, cfg.dp)
-        perm = self.rng.permutation(cfg.n_pop)
-        separated = [self.population[i] for i in perm[:split]]
-        main = [self.population[i] for i in perm[split:]]
-
-        good, bad = split_good_bad(separated)
-        filtered = filter_main(main, best_of_bad(bad))
-        subs = route_main(filtered, good, bad)
-        pairs = self._pair_schedule(good, subs, filtered)
-
-        children: list[Solution] = []
-        for k in range(cfg.offspring_count // 2):
-            a, b = pairs[k % len(pairs)]
-            c1, c2 = sbx_crossover(a.x, b.x, p.lower, p.upper, cfg.sbx_eta, self.rng)
-            for raw in (c1, c2):
-                mutated = polynomial_mutation(
-                    raw, p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng
-                )
-                children.append(self._spawn(mutated))
-
-        merged = self.population + children
-        partition = rank_and_crowd(merged)
-        self.population = environmental_selection(merged, partition, cfg.n_pop)
-        for i in partition.fronts[0]:
-            self.archive.insert(merged[i])
-        self.generation += 1
-        self._record()
-
-    def result(self, wall_ms: float) -> RunResult:
-        return RunResult(
-            algorithm=self.algorithm,
-            problem=self.problem.name,
-            seed=self.config.seed,
-            generations=self.generation,
-            evaluations=self.evaluations,
-            wall_ms=wall_ms,
-            front=self.archive.objectives(),
-            front_size_trace=list(self.front_size_trace),
-            evaluation_trace=list(self.evaluation_trace),
-        )
-
-
-def run(config: MolpbConfig, problem: ProblemSpec) -> RunResult:
-    """Execute a full seeded MOLPB run and return its result."""
-    start = time.perf_counter()
-    engine = MolpbEngine(config, problem)
-    engine.initialize()
-    for _ in range(config.max_generations):
-        engine.step()
-    return engine.result((time.perf_counter() - start) * 1000.0)
+                pairs.append((member, bad[(i - len(perfect)) % len(bad)]))
+        yield from cycle(pairs)

@@ -9,136 +9,20 @@ engine so comparisons differ only in algorithmic logic.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Optional
+from .engine import Engine, EngineConfig
 
-import numpy as np
-
-from .archive import ParetoArchive
-from .dominance import environmental_selection, rank_and_crowd
-from .errors import InvalidConfigError
-from .operators import (
-    VariationConfig,
-    default_offspring_count,
-    polynomial_mutation,
-    sbx_crossover,
-)
-from .problems import ProblemSpec, Solution, decode, evaluate
-from .results import RunResult
+Nsga2Config = EngineConfig
 
 
-@dataclass(frozen=True)
-class Nsga2Config:
-    n_pop: int = 100
-    offspring_count: Optional[int] = None
-    mutation_prob: float = 0.02
-    sbx_eta: float = 20.0
-    pm_eta: float = 20.0
-    archive_capacity: int = 100
-    max_generations: int = 350
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_pop < 2:
-            raise InvalidConfigError("n_pop must be >= 2")
-        if self.max_generations < 0:
-            raise InvalidConfigError("max_generations must be >= 0")
-        if self.offspring_count is None:
-            object.__setattr__(self, "offspring_count", default_offspring_count(self.n_pop))
-        self.variation()
-
-    def variation(self) -> VariationConfig:
-        return VariationConfig(
-            offspring_count=self.offspring_count,
-            mutation_prob=self.mutation_prob,
-            sbx_eta=self.sbx_eta,
-            pm_eta=self.pm_eta,
-        )
-
-
-class Nsga2Engine:
+class Nsga2Engine(Engine):
     algorithm = "nsga2"
 
-    def __init__(self, config: Nsga2Config, problem: ProblemSpec):
-        self.config = config
-        self.problem = problem
-        self.rng = np.random.default_rng(config.seed)
-        self.archive = ParetoArchive(config.archive_capacity)
-        self.population: list[Solution] = []
-        self.evaluations = 0
-        self.generation = 0
-        self.front_size_trace: list[int] = []
-        self.evaluation_trace: list[int] = []
-
-    def _spawn(self, x_raw: np.ndarray) -> Solution:
-        sol = evaluate(self.problem, decode(x_raw, self.problem))
-        self.evaluations += 1
-        return sol
-
-    def _record(self) -> None:
-        self.front_size_trace.append(len(self.archive))
-        self.evaluation_trace.append(self.evaluations)
-
-    def initialize(self) -> None:
-        cfg, p = self.config, self.problem
-        X = self.rng.uniform(p.lower, p.upper, size=(cfg.n_pop, p.n_vars))
-        self.population = [self._spawn(row) for row in X]
-        partition = rank_and_crowd(self.population)
-        for i in partition.fronts[0]:
-            self.archive.insert(self.population[i])
-        self._record()
-
-    def _tournament(self) -> Solution:
+    def _tournament(self) -> int:
         # Binary tournament on (rank, crowding), index breaking exact ties.
         i, j = (int(v) for v in self.rng.integers(0, self.config.n_pop, size=2))
-        a, b = self.population[i], self.population[j]
-        if a.rank != b.rank:
-            return a if a.rank < b.rank else b
-        if a.crowding != b.crowding:
-            return a if a.crowding > b.crowding else b
-        return a if i <= j else b
+        return min(i, j, key=lambda k: (self.rank[k], -self.crowd[k], k))
 
-    def step(self) -> None:
-        """One generation: tournament mating, variation, elitist merge."""
-        cfg, p = self.config, self.problem
-        children: list[Solution] = []
-        for _ in range(cfg.offspring_count // 2):
-            a = self._tournament()
-            b = self._tournament()
-            c1, c2 = sbx_crossover(a.x, b.x, p.lower, p.upper, cfg.sbx_eta, self.rng)
-            for raw in (c1, c2):
-                mutated = polynomial_mutation(
-                    raw, p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng
-                )
-                children.append(self._spawn(mutated))
-        merged = self.population + children
-        partition = rank_and_crowd(merged)
-        self.population = environmental_selection(merged, partition, cfg.n_pop)
-        for i in partition.fronts[0]:
-            self.archive.insert(merged[i])
-        self.generation += 1
-        self._record()
-
-    def result(self, wall_ms: float) -> RunResult:
-        return RunResult(
-            algorithm=self.algorithm,
-            problem=self.problem.name,
-            seed=self.config.seed,
-            generations=self.generation,
-            evaluations=self.evaluations,
-            wall_ms=wall_ms,
-            front=self.archive.objectives(),
-            front_size_trace=list(self.front_size_trace),
-            evaluation_trace=list(self.evaluation_trace),
-        )
-
-
-def run(config: Nsga2Config, problem: ProblemSpec) -> RunResult:
-    """Execute a full seeded NSGA-II run and return its result."""
-    start = time.perf_counter()
-    engine = Nsga2Engine(config, problem)
-    engine.initialize()
-    for _ in range(config.max_generations):
-        engine.step()
-    return engine.result((time.perf_counter() - start) * 1000.0)
+    def mating(self):
+        """Two independent tournaments per crossover."""
+        while True:
+            yield self._tournament(), self._tournament()

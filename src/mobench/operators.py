@@ -9,30 +9,10 @@ are pure given it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError
-
-
-@dataclass(frozen=True)
-class VariationConfig:
-    """Operator bundle: offspring produced per generation, per-variable
-    mutation probability, and the SBX / polynomial-mutation indices."""
-
-    offspring_count: int
-    mutation_prob: float
-    sbx_eta: float = 20.0
-    pm_eta: float = 20.0
-
-    def __post_init__(self):
-        if self.offspring_count < 2 or self.offspring_count % 2 != 0:
-            raise InvalidConfigError("offspring_count must be even and >= 2")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise InvalidConfigError("mutation_prob must lie in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise InvalidConfigError("distribution indices must be positive")
 
 
 def default_offspring_count(n_pop: int) -> int:

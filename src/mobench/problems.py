@@ -2,10 +2,10 @@
 
 A problem is a pure mapping from a decision vector to an objective vector
 (every objective minimized), plus box bounds and a per-variable kind
-(continuous, integer, or discrete-from-a-set). Algorithms operate on raw
-real genotypes; integrality and discreteness are enforced only by
-:func:`decode` at evaluation boundaries, so one set of real-coded operators
-serves every problem.
+(continuous, integer, or discrete-from-a-set). :func:`decode` maps any
+real vector to a legal decision vector. The engines store decoded vectors
+and run the real-coded operators on them, decoding every offspring before
+it is evaluated, so one set of real-coded operators serves every problem.
 """
 
 from __future__ import annotations
@@ -110,17 +110,6 @@ class ProblemSpec:
         return all(isinstance(k, Continuous) for k in self.kinds)
 
 
-@dataclass
-class Solution:
-    """A decision vector with its evaluated objectives and the dominance
-    bookkeeping (rank, crowding) filled in by sorting routines."""
-
-    x: np.ndarray
-    f: Optional[np.ndarray] = None
-    rank: Optional[int] = None
-    crowding: Optional[float] = None
-
-
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(values) + 0.5), values)
 
@@ -162,8 +151,8 @@ def decode(x_raw: Sequence[float] | np.ndarray, spec: ProblemSpec) -> np.ndarray
     return x
 
 
-def evaluate(spec: ProblemSpec, x: np.ndarray) -> Solution:
-    """Evaluate a decoded decision vector into a :class:`Solution`.
+def evaluate(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """Evaluate a decoded decision vector into its objective vector.
 
     Raises :class:`EvaluationError` if the evaluator returns the wrong
     number of objectives or any non-finite value (all bundled problems are
@@ -182,4 +171,4 @@ def evaluate(spec: ProblemSpec, x: np.ndarray) -> Solution:
             x=x,
             objective_index=bad,
         )
-    return Solution(x=x, f=f)
+    return f

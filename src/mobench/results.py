@@ -56,7 +56,8 @@ def write_front_csv(path, front: np.ndarray) -> None:
 
 
 def read_front_csv(path) -> np.ndarray:
-    """Parse a front CSV; raises :class:`FrontFileError` on malformed files."""
+    """Parse a front CSV; raises :class:`FrontFileError` on malformed files
+    and on non-finite values (``nan``, ``inf``)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -71,9 +72,12 @@ def read_front_csv(path) -> np.ndarray:
         if len(cells) != len(header):
             raise FrontFileError(f"{path}:{ln_no}: expected {len(header)} columns")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise FrontFileError(f"{path}:{ln_no}: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise FrontFileError(f"{path}:{ln_no}: non-finite value in {line!r}")
+        rows.append(row)
     if not rows:
         raise FrontFileError(f"{path}: no data rows")
     return np.array(rows, dtype=float)

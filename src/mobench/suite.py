@@ -35,17 +35,10 @@ SPRING_WIRE_DIAMETERS = (
 )
 
 
-def constraint_violation(g, literal: bool = False) -> float:
-    """Total violation of constraints stated as g_i >= 0.
-
-    The default sums max(-g_i, 0), so feasible points score exactly 0.
-    ``literal=True`` switches to sum(max(g_i, 0)) for auditing against
-    sources that state the penalty in that form (it penalizes feasible
-    points and is not used by any bundled problem).
-    """
+def constraint_violation(g) -> float:
+    """Total violation of constraints stated as g_i >= 0: the sum of
+    max(-g_i, 0), so feasible points score exactly 0."""
     g = np.asarray(g, dtype=float)
-    if literal:
-        return float(np.maximum(g, 0.0).sum())
     return float(np.maximum(-g, 0.0).sum())
 
 
@@ -181,7 +174,7 @@ def _vessel_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def pressure_vessel(literal_violation: bool = False) -> ProblemSpec:
+def pressure_vessel() -> ProblemSpec:
     """Cylindrical pressure vessel: fabrication cost vs constraint violation.
 
     Shell and head thicknesses are integers in {1, ..., 100}; radius and
@@ -196,7 +189,7 @@ def pressure_vessel(literal_violation: bool = False) -> ProblemSpec:
             + 3.1661 * x1**2 * x4
             + 19.84 * x1**2 * x3
         )
-        return np.array([f1, constraint_violation(_vessel_g(x), literal=literal_violation)])
+        return np.array([f1, constraint_violation(_vessel_g(x))])
 
     return ProblemSpec(
         name="pressure_vessel",
@@ -240,7 +233,7 @@ def _spring_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def coil_spring(literal_violation: bool = False) -> ProblemSpec:
+def coil_spring() -> ProblemSpec:
     """Coil compression spring: wire volume vs constraint violation.
 
     Mixed variables: integer coil count, continuous exterior diameter, and
@@ -250,7 +243,7 @@ def coil_spring(literal_violation: bool = False) -> ProblemSpec:
     def objectives(x: np.ndarray) -> np.ndarray:
         x1, x2, x3 = x
         f1 = math.pi**2 * x2 * x3**2 * (x1 + 2.0) / 4.0
-        return np.array([f1, constraint_violation(_spring_g(x), literal=literal_violation)])
+        return np.array([f1, constraint_violation(_spring_g(x))])
 
     table = SPRING_WIRE_DIAMETERS
     return ProblemSpec(
@@ -288,7 +281,7 @@ def _reducer_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def speed_reducer(literal_violation: bool = False) -> ProblemSpec:
+def speed_reducer() -> ProblemSpec:
     """Gearbox design: volume, shaft stress, and constraint violation."""
 
     def objectives(x: np.ndarray) -> np.ndarray:
@@ -300,7 +293,7 @@ def speed_reducer(literal_violation: bool = False) -> ProblemSpec:
             + 0.7854 * (x4 * x6**2 + x5 * x7**2)
         )
         return np.array(
-            [f1, _reducer_f2(x), constraint_violation(_reducer_g(x), literal=literal_violation)]
+            [f1, _reducer_f2(x), constraint_violation(_reducer_g(x))]
         )
 
     return ProblemSpec(
@@ -356,7 +349,7 @@ def _car_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def car_side_impact(literal_violation: bool = False) -> ProblemSpec:
+def car_side_impact() -> ProblemSpec:
     """Car side-impact structure: mass, pubic force, pillar velocity, and
     constraint violation (four objectives)."""
 
@@ -367,7 +360,7 @@ def car_side_impact(literal_violation: bool = False) -> ProblemSpec:
         )
         f3 = 0.5 * (_car_v_mbp(x) + _car_v_fd(x))
         return np.array(
-            [f1, _car_f2(x), f3, constraint_violation(_car_g(x), literal=literal_violation)]
+            [f1, _car_f2(x), f3, constraint_violation(_car_g(x))]
         )
 
     return ProblemSpec(

@@ -16,10 +16,7 @@ from mobench.dominance import domination_matrix, non_dominated_sort
 from mobench.harness import CampaignConfig, run_campaign
 from mobench.metrics import gd, max_spread, rgd, spacing
 from mobench.molpb import MolpbConfig, MolpbEngine
-from mobench.molpb import run as run_molpb
-from mobench.nsga2 import Nsga2Config
-from mobench.nsga2 import run as run_nsga2
-from mobench.problems import Solution
+from mobench.nsga2 import Nsga2Config, Nsga2Engine
 from mobench.suite import (
     analytic_reference_front,
     car_side_impact,
@@ -48,7 +45,7 @@ def verdict(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def mean_gd(algorithm_run, config_cls, problem_name, runs=RUNS):
+def mean_gd(engine_cls, config_cls, problem_name, runs=RUNS):
     problem = zdt(problem_name)
     reference = analytic_reference_front(problem_name, 1000).points
     values = []
@@ -59,14 +56,14 @@ def mean_gd(algorithm_run, config_cls, problem_name, runs=RUNS):
             max_generations=GENERATIONS,
             seed=seed,
         )
-        result = algorithm_run(config, problem)
+        result = engine_cls(config, problem).run()
         values.append(gd(result.front, reference))
     return float(np.mean(values))
 
 
 def test_criterion_1_zdt1_molpb_mean_gd():
     start = time.perf_counter()
-    value = mean_gd(run_molpb, MolpbConfig, "zdt1")
+    value = mean_gd(MolpbEngine, MolpbConfig, "zdt1")
     elapsed = time.perf_counter() - start
     verdict(
         1,
@@ -77,7 +74,7 @@ def test_criterion_1_zdt1_molpb_mean_gd():
 
 def test_criterion_2_zdt1_nsga2_mean_gd():
     start = time.perf_counter()
-    value = mean_gd(run_nsga2, Nsga2Config, "zdt1")
+    value = mean_gd(Nsga2Engine, Nsga2Config, "zdt1")
     elapsed = time.perf_counter() - start
     verdict(
         2,
@@ -87,8 +84,8 @@ def test_criterion_2_zdt1_nsga2_mean_gd():
 
 
 def test_criterion_3_zdt2_and_zdt6_molpb():
-    zdt2_value = mean_gd(run_molpb, MolpbConfig, "zdt2")
-    zdt6_value = mean_gd(run_molpb, MolpbConfig, "zdt6")
+    zdt2_value = mean_gd(MolpbEngine, MolpbConfig, "zdt2")
+    zdt6_value = mean_gd(MolpbEngine, MolpbConfig, "zdt6")
     verdict(
         3,
         zdt2_value <= 0.06 and zdt6_value <= 0.20,
@@ -109,7 +106,7 @@ def test_criterion_4_zdt4_molpb_beats_random_tenfold():
             max_generations=GENERATIONS,
             seed=seed,
         )
-        molpb_values.append(gd(run_molpb(config, problem).front, reference))
+        molpb_values.append(gd(MolpbEngine(config, problem).run().front, reference))
         baseline = random_search(problem, budget, archive_capacity=POPULATION, seed=seed)
         random_values.append(gd(baseline.front, reference))
     molpb_mean = float(np.mean(molpb_values))
@@ -175,7 +172,7 @@ def test_criterion_7_archive_torture():
             point = np.array([f1, 1.0 - f1 + 0.05 * rng.standard_normal()])
         else:
             point = rng.random(2) * 2.0
-        archive.insert(Solution(x=np.zeros(1), f=point))
+        archive.insert(point)
         assert len(archive) <= 100
         F = archive.objectives()
         assert not domination_matrix(F).any(), f"domination inside archive at step {step}"

@@ -2,13 +2,12 @@ import numpy as np
 
 from mobench.archive import ParetoArchive
 from mobench.dominance import dominates
-from mobench.problems import Solution
 
 from oracles import non_dominated_mask_python
 
 
 def sol(*f):
-    return Solution(x=np.zeros(1), f=np.array(f, dtype=float))
+    return np.array(f, dtype=float)
 
 
 def all_pairs_non_dominated(archive):
@@ -93,18 +92,6 @@ class TestTruncate:
         assert len(arc) == 8
 
 
-def test_export_csv_writes_front_format(tmp_path):
-    arc = ParetoArchive(capacity=4)
-    arc.insert(sol(0.25, 0.75))
-    arc.insert(sol(0.75, 0.25))
-    path = tmp_path / "archive.csv"
-    arc.export_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "f1,f2"
-    assert lines[1] == "0.25,0.75"
-    assert len(lines) == 3
-
-
 class TestInvariants:
     def test_torture_random_insertions(self):
         rng = np.random.default_rng(12)
@@ -121,7 +108,7 @@ class TestInvariants:
         arc = ParetoArchive(capacity=1000)  # big enough that nothing truncates
         points = rng.integers(0, 20, size=(300, 2)).astype(float)
         for p in points:
-            arc.insert(Solution(x=np.zeros(1), f=p))
+            arc.insert(p)
         # without truncation the archive holds exactly the distinct
         # non-dominated subset of everything offered
         mask = non_dominated_mask_python(points.tolist())
@@ -139,10 +126,10 @@ class TestInvariants:
                 dominators = [
                     row
                     for row in members_before
-                    if dominates(row, candidate.f) or np.array_equal(row, candidate.f)
+                    if dominates(row, candidate) or np.array_equal(row, candidate)
                 ]
                 assert dominators  # rejection always had a witness
-                rejected.append((candidate.f, dominators[0]))
+                rejected.append((candidate, dominators[0]))
         assert rejected  # the walk produced real rejections
         final = arc.objectives()
         for cf, witness in rejected:

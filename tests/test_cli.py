@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mobench.cli import main
 from mobench.results import write_front_csv
@@ -64,6 +65,19 @@ def test_score_reports_metrics(tmp_path, capsys):
     assert main(["score", "--front", str(front), "--reference", str(reference)]) == 0
     out = capsys.readouterr().out
     assert "gd 0" in out and "max_spread" in out
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad_file", ["front", "reference"])
+def test_score_non_finite_value_exits_3(tmp_path, capsys, cell, bad_file):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("front", "reference")}
+    for path in paths.values():
+        write_front_csv(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with paths[bad_file].open("a") as handle:
+        handle.write(f"0.5,{cell}\n")
+    code = main(["score", "--front", str(paths["front"]), "--reference", str(paths["reference"])])
+    assert code == 3
+    assert f"{bad_file}.csv:4" in capsys.readouterr().err
 
 
 def test_score_missing_front_exits_3(tmp_path, capsys):

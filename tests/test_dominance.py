@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mobench.dominance import (
-    crowded_compare,
     crowded_order,
     crowding_distance,
     dominates,
@@ -12,8 +11,7 @@ from mobench.dominance import (
     non_dominated_sort,
     rank_and_crowd,
 )
-from mobench.errors import InvalidInputError, InvalidStateError
-from mobench.problems import Solution
+from mobench.errors import InvalidInputError
 
 from oracles import (
     crowding_oracle,
@@ -161,61 +159,34 @@ class TestCrowdingDistance:
         assert np.allclose(base[finite], rescaled[finite], atol=1e-12)
 
 
-class TestCrowdedCompare:
-    def test_lower_rank_precedes(self):
-        a = Solution(x=np.zeros(1), rank=1, crowding=math.inf)
-        b = Solution(x=np.zeros(1), rank=2, crowding=math.inf)
-        assert crowded_compare(a, b) < 0
-
-    def test_larger_crowding_precedes_at_equal_rank(self):
-        a = Solution(x=np.zeros(1), rank=1, crowding=2.0)
-        b = Solution(x=np.zeros(1), rank=1, crowding=0.5)
-        assert crowded_compare(a, b) < 0
-
-    def test_exact_tie_breaks_by_index(self):
-        a = Solution(x=np.zeros(1), rank=1, crowding=1.0)
-        b = Solution(x=np.zeros(1), rank=1, crowding=1.0)
-        assert crowded_compare(a, b, index_a=0, index_b=1) < 0
-        assert crowded_compare(a, b, index_a=3, index_b=1) > 0
-
-    def test_unset_state_rejected(self):
-        a = Solution(x=np.zeros(1))
-        b = Solution(x=np.zeros(1), rank=0, crowding=1.0)
-        with pytest.raises(InvalidStateError):
-            crowded_compare(a, b)
-
-
 class TestSelectionHelpers:
-    def _solutions(self, F):
-        return [Solution(x=np.zeros(1), f=np.asarray(row, dtype=float)) for row in F]
-
     def test_rank_and_crowd_sets_fields(self):
-        sols = self._solutions([(1, 2), (2, 1), (3, 3)])
-        part = rank_and_crowd(sols)
-        assert [s.rank for s in sols] == [0, 0, 1]
-        assert all(s.crowding is not None for s in sols)
+        F = [(1, 2), (2, 1), (3, 3)]
+        part, rank, crowd = rank_and_crowd(F)
+        assert rank.tolist() == [0, 0, 1]
+        assert np.isinf(crowd).all()  # fronts of size <= 2 are all boundary
         assert part.fronts == ((0, 1), (2,))
 
     def test_crowded_order_is_deterministic(self):
-        sols = self._solutions([(1, 1), (1, 1), (0, 0)])
-        rank_and_crowd(sols)
-        assert crowded_order(sols) == [2, 0, 1]
+        _, rank, crowd = rank_and_crowd([(1, 1), (1, 1), (0, 0)])
+        assert crowded_order(rank, crowd).tolist() == [2, 0, 1]
+        # lower rank first, then larger crowding, then lower index
+        order = crowded_order([1, 0, 0, 0], [math.inf, 0.5, 2.0, 0.5])
+        assert order.tolist() == [2, 1, 3, 0]
 
     def test_environmental_selection_fills_by_crowding(self):
-        F = [(0, 1), (0.5, 0.5), (1, 0), (0.45, 0.55), (2, 2)]
-        sols = self._solutions(F)
-        part = rank_and_crowd(sols)
-        kept = environmental_selection(sols, part, 3)
-        kept_f = {tuple(s.f) for s in kept}
+        F = np.array([(0, 1), (0.5, 0.5), (1, 0), (0.45, 0.55), (2, 2)])
+        part, _, crowd = rank_and_crowd(F)
+        kept = environmental_selection(part, crowd, 3)
+        kept_f = {tuple(F[i]) for i in kept}
         # boundary points always survive; the clustered pair loses a member
         assert (0, 1) in kept_f and (1, 0) in kept_f
         assert (2, 2) not in kept_f
         assert len(kept) == 3
 
     def test_environmental_selection_keeps_whole_fitting_fronts(self):
-        F = [(1, 1), (0, 0), (2, 2)]
-        sols = self._solutions(F)
-        part = rank_and_crowd(sols)
-        kept = environmental_selection(sols, part, 2)
-        kept_f = [tuple(s.f) for s in kept]
+        F = np.array([(1, 1), (0, 0), (2, 2)], dtype=float)
+        part, _, crowd = rank_and_crowd(F)
+        kept = environmental_selection(part, crowd, 2)
+        kept_f = [tuple(F[i]) for i in kept]
         assert kept_f == [(0.0, 0.0), (1.0, 1.0)]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mobench import harness
 from mobench.errors import FrontFileError, InvalidConfigError
 from mobench.harness import (
     CampaignConfig,
@@ -98,13 +99,36 @@ class TestResolveReference:
             builder_population=12,
         )
         ref1 = resolve_reference("four_bar_truss", **kwargs)
-        cache = tmp_path / "reference_four_bar_truss.csv"
+        cache = tmp_path / "reference_four_bar_truss_r1_g4_p12_s0.csv"
         assert cache.exists()
         assert ref1.source == "merged-runs"
         stamp = cache.stat().st_mtime_ns
         ref2 = resolve_reference("four_bar_truss", **kwargs)
         assert cache.stat().st_mtime_ns == stamp  # cache hit, no rebuild
         assert np.array_equal(ref1.points, ref2.points)
+
+    def test_different_budget_rebuilds(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return execute_run(*args)
+
+        execute_run = harness._execute_run
+        monkeypatch.setattr(harness, "_execute_run", counting)
+        small = dict(builder_runs=1, builder_generations=3, builder_population=12)
+        resolve_reference("four_bar_truss", cache_dir=tmp_path, **small)
+        assert len(builds) == 2  # one run per algorithm
+        resolve_reference("four_bar_truss", cache_dir=tmp_path, **small)
+        assert len(builds) == 2  # same budget: cache hit
+        resolve_reference(
+            "four_bar_truss", cache_dir=tmp_path, **{**small, "builder_generations": 5}
+        )
+        assert len(builds) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "reference_four_bar_truss_r1_g3_p12_s0.csv",
+            "reference_four_bar_truss_r1_g5_p12_s0.csv",
+        ]
 
     def test_engineering_without_cache_dir_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -12,21 +12,23 @@ from mobench.molpb import (
     best_of_bad,
     filter_main,
     route_main,
-    run,
     split_good_bad,
 )
-from mobench.problems import Solution
 from mobench.suite import analytic_reference_front, coil_spring, zdt
 
 from oracles import non_dominated_mask_python
 
 
-def sols(points):
-    return [Solution(x=np.zeros(1), f=np.array(p, dtype=float)) for p in points]
+def rows(points):
+    return np.array(points, dtype=float).reshape(-1, 2)
 
 
-def f_set(solutions):
-    return {tuple(s.f) for s in solutions}
+def f_set(F, indices):
+    return {tuple(F[i]) for i in indices}
+
+
+def run(config, problem):
+    return MolpbEngine(config, problem).run()
 
 
 class TestConfig:
@@ -49,91 +51,88 @@ class TestConfig:
 
 class TestSplitGoodBad:
     def test_two_incomparable_split_by_index(self):
-        good, bad = split_good_bad(sols([(1, 2), (2, 1)]))
-        assert f_set(good) == {(1, 2)}
-        assert f_set(bad) == {(2, 1)}
+        F = rows([(1, 2), (2, 1)])
+        good, bad = split_good_bad(F)
+        assert f_set(F, good) == {(1, 2)}
+        assert f_set(F, bad) == {(2, 1)}
 
     def test_dominating_point_lands_in_good(self):
-        good, bad = split_good_bad(sols([(5, 5), (0, 0), (3, 4)]))
-        assert (0, 0) in f_set(good)
+        F = rows([(5, 5), (0, 0), (3, 4)])
+        good, bad = split_good_bad(F)
+        assert (0, 0) in f_set(F, good)
 
     def test_five_members_split_two_three(self):
-        good, bad = split_good_bad(sols([(0, 5), (1, 4), (2, 3), (3, 2), (5, 0)]))
+        good, bad = split_good_bad(rows([(0, 5), (1, 4), (2, 3), (3, 2), (5, 0)]))
         assert len(good) == 2 and len(bad) == 3
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidInputError):
-            split_good_bad(sols([(1, 1)]))
+            split_good_bad(rows([(1, 1)]))
 
 
 class TestBestOfBad:
     def test_single_member(self):
-        only = sols([(7, 7)])
-        assert best_of_bad(only) is only[0]
+        assert best_of_bad(rows([(7, 7)])) == 0
 
     def test_tie_broken_by_lowest_index(self):
-        group = sols([(3, 3), (1, 2), (2, 1)])
-        assert tuple(best_of_bad(group).f) == (1, 2)
+        assert best_of_bad(rows([(3, 3), (1, 2), (2, 1)])) == 1
 
     def test_dominator_wins(self):
-        group = sols([(5, 5), (1, 1), (4, 4)])
-        assert tuple(best_of_bad(group).f) == (1, 1)
+        assert best_of_bad(rows([(5, 5), (1, 1), (4, 4)])) == 1
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidStateError):
-            best_of_bad([])
+            best_of_bad(rows([]))
 
 
 class TestFilterMain:
     def test_nothing_dominated_keeps_all(self):
-        main = sols([(1, 5), (5, 1)])
-        out = filter_main(main, Solution(x=np.zeros(1), f=np.array([9.0, 9.0])))
-        assert out == main
+        out = filter_main(rows([(1, 5), (5, 1)]), np.array([9.0, 9.0]))
+        assert out.tolist() == [0, 1]
 
     def test_everything_dominated_empties(self):
-        main = sols([(1, 5), (5, 1), (6, 6)])
-        out = filter_main(main, Solution(x=np.zeros(1), f=np.array([0.0, 0.0])))
-        assert out == []
+        out = filter_main(rows([(1, 5), (5, 1), (6, 6)]), np.array([0.0, 0.0]))
+        assert out.tolist() == []
 
     def test_hand_derived_example(self):
-        main = sols([(1, 5), (5, 1), (6, 6)])
-        out = filter_main(main, Solution(x=np.zeros(1), f=np.array([5.0, 5.0])))
-        assert [tuple(s.f) for s in out] == [(1, 5), (5, 1)]
+        main = rows([(1, 5), (5, 1), (6, 6)])
+        out = filter_main(main, np.array([5.0, 5.0]))
+        assert [tuple(main[i]) for i in out] == [(1, 5), (5, 1)]
 
 
 class TestRouteMain:
     def test_dominator_of_good_goes_perfect(self):
-        subs = route_main(sols([(1, 1)]), sols([(2, 2)]), sols([(3, 3)]))
-        assert f_set(subs.perfect) == {(1, 1)}
-        assert subs.good_extension == [] and subs.bad_extension == []
+        main = rows([(1, 1)])
+        perfect, good_ext, bad_ext = route_main(main, rows([(2, 2)]), rows([(3, 3)]))
+        assert f_set(main, perfect) == {(1, 1)}
+        assert good_ext.size == 0 and bad_ext.size == 0
 
     def test_member_dominated_by_best_bad_goes_bad(self):
-        subs = route_main(sols([(2, 2)]), sols([(0, 0)]), sols([(1, 1)]))
-        assert f_set(subs.bad_extension) == {(2, 2)}
+        main = rows([(2, 2)])
+        _, _, bad_ext = route_main(main, rows([(0, 0)]), rows([(1, 1)]))
+        assert f_set(main, bad_ext) == {(2, 2)}
 
     def test_incomparable_middle_goes_good(self):
         # all rank 0 jointly; the bad pivot has finite crowding while the
         # member sits on a boundary, so neither strict condition fires
-        subs = route_main(
-            sols([(10, 0.5), (0.6, 9)]), sols([(0.5, 10)]), sols([(5, 5)])
-        )
-        assert f_set(subs.good_extension) == {(10, 0.5)}
-        assert f_set(subs.bad_extension) == {(0.6, 9)}
+        main = rows([(10, 0.5), (0.6, 9)])
+        _, good_ext, bad_ext = route_main(main, rows([(0.5, 10)]), rows([(5, 5)]))
+        assert f_set(main, good_ext) == {(10, 0.5)}
+        assert f_set(main, bad_ext) == {(0.6, 9)}
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            main = sols(rng.random((int(rng.integers(0, 25)), 2)))
-            good = sols(rng.random((int(rng.integers(1, 6)), 2)))
-            bad = sols(rng.random((int(rng.integers(1, 6)), 2)))
-            subs = route_main(main, good, bad)
-            routed = subs.perfect + subs.good_extension + subs.bad_extension
+            main = rng.random((int(rng.integers(0, 25)), 2))
+            good = rng.random((int(rng.integers(1, 6)), 2))
+            bad = rng.random((int(rng.integers(1, 6)), 2))
+            routed = np.concatenate(route_main(main, good, bad))
             assert len(routed) == len(main)
-            assert {id(s) for s in routed} == {id(s) for s in main}
+            assert sorted(routed.tolist()) == list(range(len(main)))
 
     def test_empty_pivot_groups_rejected(self):
         with pytest.raises(InvalidStateError):
-            route_main(sols([(1, 1)]), [], sols([(2, 2)]))
+            route_main(rows([(1, 1)]), rows([]), rows([(2, 2)]))
 
 
 class TestEngine:
@@ -143,8 +142,7 @@ class TestEngine:
         e2 = MolpbEngine(MolpbConfig(n_pop=20, seed=5, max_generations=0), problem)
         e1.initialize()
         e2.initialize()
-        for a, b in zip(e1.population, e2.population):
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
+        assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.F, e2.F)
 
     def test_different_seeds_differ(self):
         problem = zdt("zdt1")
@@ -152,23 +150,21 @@ class TestEngine:
         e2 = MolpbEngine(MolpbConfig(n_pop=20, seed=6), problem)
         e1.initialize()
         e2.initialize()
-        assert any(
-            not np.array_equal(a.x, b.x) for a, b in zip(e1.population, e2.population)
-        )
+        assert not np.array_equal(e1.X, e2.X)
 
     def test_initial_population_within_bounds(self):
         problem = zdt("zdt4")
         engine = MolpbEngine(MolpbConfig(n_pop=30, seed=1), problem)
         engine.initialize()
-        for s in engine.population:
-            assert np.all(s.x >= problem.lower) and np.all(s.x <= problem.upper)
+        assert np.all(engine.X >= problem.lower) and np.all(engine.X <= problem.upper)
 
     def test_population_size_invariant(self):
         engine = MolpbEngine(MolpbConfig(n_pop=24, seed=2), zdt("zdt1"))
         engine.initialize()
         for _ in range(5):
             engine.step()
-            assert len(engine.population) == 24
+            assert engine.X.shape == (24, 30) and engine.F.shape == (24, 2)
+            assert engine.rank.shape == engine.crowd.shape == (24,)
 
     def test_evaluations_per_generation_equal_offspring_count(self):
         cfg = MolpbConfig(n_pop=24, seed=3)
@@ -214,7 +210,7 @@ class TestEngine:
         result = run(MolpbConfig(n_pop=30, seed=6, max_generations=0), problem)
         engine = MolpbEngine(MolpbConfig(n_pop=30, seed=6), problem)
         engine.initialize()
-        F = np.array([s.f for s in engine.population])
+        F = engine.F
         mask = non_dominated_mask_python(F.tolist())
         expected = {tuple(row) for row, keep in zip(F.tolist(), mask) if keep}
         assert {tuple(row) for row in result.front.tolist()} == expected

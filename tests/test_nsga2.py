@@ -3,11 +3,14 @@ import pytest
 
 from mobench.dominance import dominates, environmental_selection, rank_and_crowd
 from mobench.errors import InvalidConfigError
-from mobench.nsga2 import Nsga2Config, Nsga2Engine, run
-from mobench.problems import Solution
+from mobench.nsga2 import Nsga2Config, Nsga2Engine
 from mobench.suite import zdt
 
 from oracles import non_dominated_mask_python
+
+
+def run(config, problem):
+    return Nsga2Engine(config, problem).run()
 
 
 class TestConfig:
@@ -29,7 +32,8 @@ class TestGeneration:
         engine.initialize()
         for _ in range(5):
             engine.step()
-            assert len(engine.population) == 24
+            assert engine.X.shape == (24, 30) and engine.F.shape == (24, 2)
+            assert engine.rank.shape == engine.crowd.shape == (24,)
 
     def test_merged_set_grows_by_offspring_count(self):
         cfg = Nsga2Config(n_pop=24, seed=1)
@@ -42,22 +46,36 @@ class TestGeneration:
 
     def test_exactly_fitting_front_zero_is_copied_whole(self):
         # six points, exactly three of them non-dominated
-        F = [(0, 3), (1, 1), (3, 0), (2, 3), (3, 2), (4, 4)]
-        sols = [Solution(x=np.zeros(1), f=np.array(p, dtype=float)) for p in F]
-        part = rank_and_crowd(sols)
+        F = np.array([(0, 3), (1, 1), (3, 0), (2, 3), (3, 2), (4, 4)], dtype=float)
+        part, _, crowd = rank_and_crowd(F)
         assert len(part.fronts[0]) == 3
-        kept = environmental_selection(sols, part, 3)
-        assert {tuple(s.f) for s in kept} == {(0, 3), (1, 1), (3, 0)}
+        kept = environmental_selection(part, crowd, 3)
+        assert {tuple(F[i]) for i in kept} == {(0, 3), (1, 1), (3, 0)}
 
     def test_elitism_never_trades_rank_zero_for_dominated(self):
         # when front 0 overflows, only front-0 members are selected
         rng = np.random.default_rng(2)
         F = rng.random((40, 2))
-        sols = [Solution(x=np.zeros(1), f=row) for row in F]
-        part = rank_and_crowd(sols)
+        part, rank, crowd = rank_and_crowd(F)
         k = max(2, len(part.fronts[0]) - 2)
-        kept = environmental_selection(sols, part, k)
-        assert all(s.rank == 0 for s in kept)
+        kept = environmental_selection(part, crowd, k)
+        assert len(kept) == k and all(rank[kept] == 0)
+
+    def test_tournament_prefers_rank_then_crowding_then_index(self):
+        class Draws:  # hands the tournaments fixed contestant pairs
+            def __init__(self, pairs):
+                self.pairs = iter(pairs)
+
+            def integers(self, low, high, size):
+                return np.array(next(self.pairs))
+
+        engine = Nsga2Engine(Nsga2Config(n_pop=6, seed=0), zdt("zdt1"))
+        engine.rank = np.array([1, 0, 0, 0, 1, 1])
+        engine.crowd = np.array([9.0, 1.0, 3.0, 1.0, 0.0, 0.0])
+        engine.rng = Draws([(0, 1), (1, 2), (3, 1), (5, 4)])
+        mating = engine.mating()
+        assert next(mating) == (1, 2)  # lower rank wins; then larger crowding
+        assert next(mating) == (1, 4)  # exact ties go to the lower index
 
     def test_archive_mutually_non_dominated(self):
         engine = Nsga2Engine(Nsga2Config(n_pop=20, seed=3), zdt("zdt2"))
@@ -83,7 +101,7 @@ class TestRun:
         result = run(Nsga2Config(n_pop=25, seed=5, max_generations=0), problem)
         engine = Nsga2Engine(Nsga2Config(n_pop=25, seed=5), problem)
         engine.initialize()
-        F = np.array([s.f for s in engine.population])
+        F = engine.F
         mask = non_dominated_mask_python(F.tolist())
         expected = {tuple(row) for row, keep in zip(F.tolist(), mask) if keep}
         assert {tuple(row) for row in result.front.tolist()} == expected

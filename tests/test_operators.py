@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from mobench.engine import EngineConfig
 from mobench.errors import InvalidConfigError
 from mobench.operators import (
-    VariationConfig,
     default_offspring_count,
     dp_split_size,
     polynomial_mutation,
@@ -12,18 +12,20 @@ from mobench.operators import (
 
 
 class TestVariationConfig:
+    """The operator settings of the engine config."""
+
     def test_accepts_table_defaults(self):
-        VariationConfig(offspring_count=140, mutation_prob=0.02)
+        EngineConfig(offspring_count=140, mutation_prob=0.02)
 
     def test_rejects_odd_or_tiny_offspring(self):
         with pytest.raises(InvalidConfigError):
-            VariationConfig(offspring_count=3, mutation_prob=0.02)
+            EngineConfig(offspring_count=3, mutation_prob=0.02)
         with pytest.raises(InvalidConfigError):
-            VariationConfig(offspring_count=0, mutation_prob=0.02)
+            EngineConfig(offspring_count=0, mutation_prob=0.02)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(InvalidConfigError):
-            VariationConfig(offspring_count=4, mutation_prob=1.5)
+            EngineConfig(offspring_count=4, mutation_prob=1.5)
 
     def test_default_offspring_count(self):
         assert default_offspring_count(100) == 140

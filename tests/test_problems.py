@@ -114,28 +114,27 @@ class TestDecode:
 class TestEvaluate:
     def test_zdt1_all_zeros(self):
         spec = zdt("ZDT1")
-        sol = evaluate(spec, np.zeros(30))
-        assert np.allclose(sol.f, [0.0, 1.0], atol=1e-12)
-        assert sol.rank is None and sol.crowding is None
+        f = evaluate(spec, np.zeros(30))
+        assert f.shape == (2,)
+        assert np.allclose(f, [0.0, 1.0], atol=1e-12)
 
     def test_zdt1_unit_first_variable(self):
         spec = zdt("ZDT1")
-        sol = evaluate(spec, np.array([1.0] + [0.0] * 29))
-        assert np.allclose(sol.f, [1.0, 0.0], atol=1e-12)
+        f = evaluate(spec, np.array([1.0] + [0.0] * 29))
+        assert np.allclose(f, [1.0, 0.0], atol=1e-12)
 
     def test_zdt1_hand_derived_point(self):
         spec = zdt("ZDT1")
         x = np.array([0.25] + [0.5] * 29)
         g = 1 + 9 * 14.5 / 29
         expected = np.array([0.25, g * (1 - math.sqrt(0.25 / g))])
-        sol = evaluate(spec, x)
-        assert np.allclose(sol.f, expected, rtol=1e-12)
+        assert np.allclose(evaluate(spec, x), expected, rtol=1e-12)
 
     def test_deterministic_bitwise(self):
         spec = zdt("ZDT3")
         x = np.linspace(0.1, 0.9, 30)
-        f1 = evaluate(spec, x).f
-        f2 = evaluate(spec, x).f
+        f1 = evaluate(spec, x)
+        f2 = evaluate(spec, x)
         assert np.array_equal(f1, f2)
 
     def test_non_finite_objective_raises(self):

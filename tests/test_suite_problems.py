@@ -87,10 +87,6 @@ class TestConstraintViolation:
     def test_sums_infeasibility_magnitudes(self):
         assert constraint_violation([-1.5, 2.0, -0.5]) == 2.0
 
-    def test_literal_switch_penalizes_positive_side(self):
-        assert constraint_violation([-1.5, 2.0, -0.5], literal=True) == 2.0
-        assert constraint_violation([0.5, 2.0], literal=True) == 2.5
-
 
 class TestFourBarTruss:
     def test_bounds(self):
@@ -147,11 +143,6 @@ class TestPressureVessel:
         x = np.array([50.0, 50.0, 200.0, 240.0])
         assert np.all(spec.constraints(x) >= 0)
         assert spec.objectives(x)[1] == 0.0
-
-    def test_literal_switch_preserved(self):
-        spec = pressure_vessel(literal_violation=True)
-        x = np.array([50.0, 50.0, 200.0, 240.0])
-        assert spec.objectives(x)[1] == pytest.approx(np.maximum(spec.constraints(x), 0).sum())
 
 
 class TestCoilSpring:
