@@ -7,7 +7,6 @@ problems, four front quality indicators, and a seeded experiment harness.
 
 from .archive import ParetoArchive
 from .dominance import (
-    FrontPartition,
     crowding_distance,
     dominates,
     non_dominated_sort,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParetoArchive",
-    "FrontPartition",
     "crowding_distance",
     "dominates",
     "non_dominated_sort",

@@ -1,13 +1,11 @@
 """Pareto dominance, fast non-dominated sorting, and crowding distance.
 
 Everything here minimizes. The sort uses the O(n_objectives * n^2)
-domination-count scheme; fronts preserve the original index order, so the
-partition is deterministic for a given input order.
+domination-count scheme and returns a rank array: ``rank[i]`` is the front
+number of row ``i``, so front 0 (the non-dominated set) is ``rank == 0``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +30,24 @@ def domination_matrix(points: np.ndarray) -> np.ndarray:
     return le & lt
 
 
-@dataclass(frozen=True)
-class FrontPartition:
-    """Ordered fronts of input indices; front 0 is the non-dominated set."""
-
-    fronts: tuple[tuple[int, ...], ...]
-
-
-def non_dominated_sort(points) -> FrontPartition:
-    """Partition objective vectors into ranked non-dominated fronts."""
+def non_dominated_sort(points) -> np.ndarray:
+    """Front number of each objective row: 0 for the non-dominated set, 1
+    for the set non-dominated once front 0 is removed, and so on."""
     F = np.asarray(points, dtype=float)
     if F.ndim != 2 or F.shape[0] == 0:
         raise InvalidInputError("non_dominated_sort needs a non-empty list of objective vectors")
     D = domination_matrix(F)
     counts = D.sum(axis=0).astype(int)
-    fronts: list[tuple[int, ...]] = []
+    rank = np.empty(len(F), dtype=int)
     current = np.flatnonzero(counts == 0)
+    r = 0
     while current.size:
-        fronts.append(tuple(int(i) for i in current))
+        rank[current] = r
         counts = counts - D[current].sum(axis=0)
         counts[current] = -1
         current = np.flatnonzero(counts == 0)
-    return FrontPartition(fronts=tuple(fronts))
+        r += 1
+    return rank
 
 
 def crowding_distance(front) -> np.ndarray:
@@ -81,18 +75,16 @@ def crowding_distance(front) -> np.ndarray:
     return dist
 
 
-def rank_and_crowd(points) -> tuple[FrontPartition, np.ndarray, np.ndarray]:
-    """Non-dominated partition of objective rows plus each row's rank
-    (front number) and crowding distance within its front."""
+def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
+    """Each objective row's rank (front number) and its crowding distance
+    within its front."""
     F = np.asarray(points, dtype=float)
-    partition = non_dominated_sort(F)
-    rank = np.empty(len(F), dtype=int)
+    rank = non_dominated_sort(F)
     crowd = np.empty(len(F))
-    for r, front in enumerate(partition.fronts):
-        idx = list(front)
-        rank[idx] = r
-        crowd[idx] = crowding_distance(F[idx])
-    return partition, rank, crowd
+    for r in range(rank.max() + 1):
+        front = np.flatnonzero(rank == r)
+        crowd[front] = crowding_distance(F[front])
+    return rank, crowd
 
 
 def crowded_order(rank, crowd) -> np.ndarray:
@@ -101,16 +93,17 @@ def crowded_order(rank, crowd) -> np.ndarray:
     return np.lexsort((-np.asarray(crowd, dtype=float), np.asarray(rank)))
 
 
-def environmental_selection(partition: FrontPartition, crowd, k: int) -> np.ndarray:
-    """Indices of the best ``k`` rows: whole fronts while they fit, then the
-    overflowing front by descending crowding distance."""
+def environmental_selection(rank, crowd, k: int) -> np.ndarray:
+    """Indices of the best ``k`` rows: whole fronts while they fit, each in
+    index order, then the overflowing front by descending crowding distance
+    (ties by index)."""
+    rank = np.asarray(rank)
     crowd = np.asarray(crowd, dtype=float)
-    chosen: list[int] = []
-    for front in partition.fronts:
-        if len(chosen) + len(front) <= k:
-            chosen.extend(front)
-            continue
-        order = np.argsort(-crowd[list(front)], kind="stable")
-        chosen.extend(front[j] for j in order[: k - len(chosen)])
-        break
-    return np.array(chosen, dtype=int)
+    by_front = np.argsort(rank, kind="stable")
+    if k >= len(by_front):
+        return by_front
+    overflow = rank[by_front[k]]
+    whole = by_front[rank[by_front] < overflow]
+    front = np.flatnonzero(rank == overflow)
+    best = front[np.argsort(-crowd[front], kind="stable")]
+    return np.concatenate([whole, best[: k - len(whole)]])

@@ -101,8 +101,8 @@ class Engine:
         self.X, self.F = self._evaluate(
             self.rng.uniform(p.lower, p.upper, size=(self.config.n_pop, p.n_vars))
         )
-        partition, self.rank, self.crowd = rank_and_crowd(self.F)
-        self._record(self.F[list(partition.fronts[0])])
+        self.rank, self.crowd = rank_and_crowd(self.F)
+        self._record(self.F[self.rank == 0])
 
     def step(self) -> None:
         """One generation: mating, variation, elitist merge, archive update."""
@@ -117,11 +117,11 @@ class Engine:
         X_children, F_children = self._evaluate(children)
         X = np.concatenate([self.X, X_children])
         F = np.concatenate([self.F, F_children])
-        partition, rank, crowd = rank_and_crowd(F)
-        keep = environmental_selection(partition, crowd, cfg.n_pop)
+        rank, crowd = rank_and_crowd(F)
+        keep = environmental_selection(rank, crowd, cfg.n_pop)
         self.X, self.F, self.rank, self.crowd = X[keep], F[keep], rank[keep], crowd[keep]
         self.generation += 1
-        self._record(F[list(partition.fronts[0])])
+        self._record(F[rank == 0])
 
     def result(self, wall_ms: float) -> RunResult:
         return RunResult(

@@ -42,7 +42,7 @@ def split_good_bad(F) -> tuple[np.ndarray, np.ndarray]:
     remainder the bad half."""
     if len(F) < 2:
         raise InvalidInputError("split_good_bad needs at least two solutions")
-    _, rank, crowd = rank_and_crowd(F)
+    rank, crowd = rank_and_crowd(F)
     order = crowded_order(rank, crowd)
     half = len(F) // 2
     return order[:half], order[half:]
@@ -53,7 +53,7 @@ def best_of_bad(F) -> int:
     within the bad half alone)."""
     if len(F) == 0:
         raise InvalidStateError("bad population is empty")
-    _, rank, crowd = rank_and_crowd(F)
+    rank, crowd = rank_and_crowd(F)
     return int(crowded_order(rank, crowd)[0])
 
 
@@ -77,7 +77,7 @@ def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if len(good) == 0 or len(bad) == 0:
         raise InvalidStateError("route_main needs non-empty good and bad halves")
     n_main, n_good = len(main), len(good)
-    _, rank, crowd = rank_and_crowd(np.concatenate([main, good, bad]))
+    rank, crowd = rank_and_crowd(np.concatenate([main, good, bad]))
 
     def pivot(lo: int, hi: int) -> int:
         return lo + int(crowded_order(rank[lo:hi], crowd[lo:hi])[0])

@@ -66,6 +66,14 @@ def partition_recount(points) -> list[list[int]]:
     return fronts
 
 
+def rank_array(fronts) -> np.ndarray:
+    """The rank array (front number of every index) of a front partition."""
+    rank = np.empty(sum(len(front) for front in fronts), dtype=int)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    return rank
+
+
 def gd_oracle(front, reference, p: int = 2) -> float:
     total = 0.0
     for a in front:
@@ -125,3 +133,19 @@ def crowding_oracle(front) -> list[float]:
                 if dist[i] != math.inf:
                     dist[i] += (pts[order[pos + 1]][k] - pts[order[pos - 1]][k]) / (hi - lo)
     return dist
+
+
+def selection_oracle(points, k: int) -> list[int]:
+    """Elitist truncation to ``k`` indices from the oracle partition and
+    crowding: whole fronts in index order while they fit, then the
+    overflowing front by descending crowding, ties to the lower index."""
+    chosen: list[int] = []
+    for front in partition_python(points):
+        if len(chosen) + len(front) <= k:
+            chosen += front
+            continue
+        crowd = crowding_oracle([points[i] for i in front])
+        best = sorted(range(len(front)), key=lambda j: -crowd[j])
+        chosen += [front[j] for j in best[: k - len(chosen)]]
+        break
+    return chosen

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.dominance import (
     crowded_order,
@@ -19,7 +21,20 @@ from oracles import (
     non_dominated_mask_python,
     partition_python,
     partition_recount,
+    rank_array,
+    selection_oracle,
 )
+
+
+@st.composite
+def objective_rows(draw):
+    """Small objective matrices on a coarse grid, so duplicate rows and
+    ties in single objectives are common."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 30))
+    cells = st.integers(0, 4) | st.sampled_from([-1e300, 1e300, 0.5])
+    rows = draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    return [[float(v) for v in row] for row in rows]
 
 
 class TestDominates:
@@ -66,12 +81,10 @@ class TestDominates:
 
 class TestNonDominatedSort:
     def test_singleton(self):
-        part = non_dominated_sort([(1.0, 1.0)])
-        assert part.fronts == ((0,),)
+        assert non_dominated_sort([(1.0, 1.0)]).tolist() == [0]
 
     def test_hand_derived_three_points(self):
-        part = non_dominated_sort([(1, 2), (2, 1), (3, 3)])
-        assert part.fronts == ((0, 1), (2,))
+        assert non_dominated_sort([(1, 2), (2, 1), (3, 3)]).tolist() == [0, 0, 1]
 
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -83,40 +96,38 @@ class TestNonDominatedSort:
             n = int(rng.integers(1, 80))
             m = int(rng.integers(2, 5))
             F = rng.random((n, m))
-            part = non_dominated_sort(F)
-            seen = sorted(i for front in part.fronts for i in front)
-            assert seen == list(range(n))
-            for k, front in enumerate(part.fronts):
-                for i in front:
-                    assert not any(dominates(F[j], F[i]) for j in front)
-                    if k > 0:
-                        assert any(dominates(F[j], F[i]) for j in part.fronts[k - 1])
+            rank = non_dominated_sort(F)
+            assert rank.shape == (n,)
+            assert set(rank.tolist()) == set(range(rank.max() + 1))  # no empty front
+            for i in range(n):
+                front = np.flatnonzero(rank == rank[i])
+                assert not any(dominates(F[j], F[i]) for j in front)
+                if rank[i] > 0:
+                    previous = np.flatnonzero(rank == rank[i] - 1)
+                    assert any(dominates(F[j], F[i]) for j in previous)
 
     def test_matches_recount_oracle_200_points_3_objectives(self):
         rng = np.random.default_rng(4)
         F = rng.random((200, 3))
-        part = non_dominated_sort(F)
-        assert [list(f) for f in part.fronts] == partition_recount(F)
+        assert np.array_equal(non_dominated_sort(F), rank_array(partition_recount(F)))
 
     def test_matches_pure_python_oracle_small(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             n = int(rng.integers(2, 40))
             F = rng.integers(0, 6, size=(n, 2)).astype(float)  # many duplicates
-            part = non_dominated_sort(F)
-            assert [list(f) for f in part.fronts] == partition_python(F.tolist())
+            want = rank_array(partition_python(F.tolist()))
+            assert np.array_equal(non_dominated_sort(F), want)
 
     def test_front_zero_equals_brute_force_up_to_500(self):
         rng = np.random.default_rng(6)
         for n, m in [(100, 2), (250, 3), (500, 4)]:
             F = rng.random((n, m))
-            part = non_dominated_sort(F)
             mask = non_dominated_mask_python(F.tolist())
-            assert list(part.fronts[0]) == [i for i, keep in enumerate(mask) if keep]
+            assert (non_dominated_sort(F) == 0).tolist() == mask
 
     def test_duplicates_share_a_front(self):
-        part = non_dominated_sort([(1, 1), (1, 1), (2, 2)])
-        assert part.fronts == ((0, 1), (2,))
+        assert non_dominated_sort([(1, 1), (1, 1), (2, 2)]).tolist() == [0, 0, 1]
 
 
 class TestCrowdingDistance:
@@ -162,13 +173,12 @@ class TestCrowdingDistance:
 class TestSelectionHelpers:
     def test_rank_and_crowd_sets_fields(self):
         F = [(1, 2), (2, 1), (3, 3)]
-        part, rank, crowd = rank_and_crowd(F)
+        rank, crowd = rank_and_crowd(F)
         assert rank.tolist() == [0, 0, 1]
         assert np.isinf(crowd).all()  # fronts of size <= 2 are all boundary
-        assert part.fronts == ((0, 1), (2,))
 
     def test_crowded_order_is_deterministic(self):
-        _, rank, crowd = rank_and_crowd([(1, 1), (1, 1), (0, 0)])
+        rank, crowd = rank_and_crowd([(1, 1), (1, 1), (0, 0)])
         assert crowded_order(rank, crowd).tolist() == [2, 0, 1]
         # lower rank first, then larger crowding, then lower index
         order = crowded_order([1, 0, 0, 0], [math.inf, 0.5, 2.0, 0.5])
@@ -176,8 +186,7 @@ class TestSelectionHelpers:
 
     def test_environmental_selection_fills_by_crowding(self):
         F = np.array([(0, 1), (0.5, 0.5), (1, 0), (0.45, 0.55), (2, 2)])
-        part, _, crowd = rank_and_crowd(F)
-        kept = environmental_selection(part, crowd, 3)
+        kept = environmental_selection(*rank_and_crowd(F), 3)
         kept_f = {tuple(F[i]) for i in kept}
         # boundary points always survive; the clustered pair loses a member
         assert (0, 1) in kept_f and (1, 0) in kept_f
@@ -186,7 +195,29 @@ class TestSelectionHelpers:
 
     def test_environmental_selection_keeps_whole_fitting_fronts(self):
         F = np.array([(1, 1), (0, 0), (2, 2)], dtype=float)
-        part, _, crowd = rank_and_crowd(F)
-        kept = environmental_selection(part, crowd, 2)
+        kept = environmental_selection(*rank_and_crowd(F), 2)
         kept_f = [tuple(F[i]) for i in kept]
         assert kept_f == [(0.0, 0.0), (1.0, 1.0)]
+
+
+class TestRankProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows())
+    def test_rank_matches_peeling_oracle(self, points):
+        assert np.array_equal(non_dominated_sort(points), rank_array(partition_python(points)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows(), st.data())
+    def test_environmental_selection_matches_oracle(self, points, data):
+        k = data.draw(st.integers(1, len(points)))
+        kept = environmental_selection(*rank_and_crowd(points), k)
+        assert kept.tolist() == selection_oracle(points, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(objective_rows())
+    def test_exactly_fitting_fronts_are_kept_whole_in_index_order(self, points):
+        rank, crowd = rank_and_crowd(points)
+        for r in range(rank.max() + 1):
+            k = int(np.count_nonzero(rank <= r))
+            kept = environmental_selection(rank, crowd, k)
+            assert kept.tolist() == np.argsort(rank, kind="stable")[:k].tolist()

@@ -47,18 +47,18 @@ class TestGeneration:
     def test_exactly_fitting_front_zero_is_copied_whole(self):
         # six points, exactly three of them non-dominated
         F = np.array([(0, 3), (1, 1), (3, 0), (2, 3), (3, 2), (4, 4)], dtype=float)
-        part, _, crowd = rank_and_crowd(F)
-        assert len(part.fronts[0]) == 3
-        kept = environmental_selection(part, crowd, 3)
+        rank, crowd = rank_and_crowd(F)
+        assert np.count_nonzero(rank == 0) == 3
+        kept = environmental_selection(rank, crowd, 3)
         assert {tuple(F[i]) for i in kept} == {(0, 3), (1, 1), (3, 0)}
 
     def test_elitism_never_trades_rank_zero_for_dominated(self):
         # when front 0 overflows, only front-0 members are selected
         rng = np.random.default_rng(2)
         F = rng.random((40, 2))
-        part, rank, crowd = rank_and_crowd(F)
-        k = max(2, len(part.fronts[0]) - 2)
-        kept = environmental_selection(part, crowd, k)
+        rank, crowd = rank_and_crowd(F)
+        k = max(2, np.count_nonzero(rank == 0) - 2)
+        kept = environmental_selection(rank, crowd, k)
         assert len(kept) == k and all(rank[kept] == 0)
 
     def test_tournament_prefers_rank_then_crowding_then_index(self):
