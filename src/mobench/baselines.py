@@ -21,8 +21,8 @@ def random_search(
     rng = np.random.default_rng(seed)
     archive = ParetoArchive(archive_capacity)
     X = rng.uniform(problem.lower, problem.upper, size=(n_evaluations, problem.n_vars))
-    for row in X:
-        archive.insert(evaluate(problem, decode(row, problem)))
+    for f in evaluate(problem, decode(X, problem)):
+        archive.insert(f)
     return RunResult(
         algorithm="random",
         problem=problem.name,

@@ -83,8 +83,8 @@ class Engine:
         raise NotImplementedError
 
     def _evaluate(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        X = np.array([decode(row, self.problem) for row in rows])
-        F = np.array([evaluate(self.problem, x) for x in X])
+        X = decode(rows, self.problem)
+        F = evaluate(self.problem, X)
         self.evaluations += len(X)
         return X, F
 

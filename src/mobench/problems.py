@@ -1,11 +1,14 @@
 """Problem representation: bounded, mixed-variable, multiobjective minimization.
 
-A problem is a pure mapping from a decision vector to an objective vector
+A problem is a pure mapping from decision vectors to objective vectors
 (every objective minimized), plus box bounds and a per-variable kind
-(continuous, integer, or discrete-from-a-set). :func:`decode` maps any
-real vector to a legal decision vector. The engines store decoded vectors
-and run the real-coded operators on them, decoding every offspring before
-it is evaluated, so one set of real-coded operators serves every problem.
+(continuous, integer, or discrete-from-a-set). Every function here works
+on a whole population at once: a matrix with one decision vector per row
+maps to a matrix with one objective vector per row, and a single vector
+maps to a single objective vector. :func:`decode` maps any real vectors
+to legal decision vectors. The engines store decoded vectors and run the
+real-coded operators on them, decoding every offspring before it is
+evaluated, so one set of real-coded operators serves every problem.
 """
 
 from __future__ import annotations
@@ -58,10 +61,14 @@ VariableKind = Continuous | Integer | Discrete
 class ProblemSpec:
     """Immutable description of a multiobjective minimization problem.
 
-    ``objectives`` maps a legal decision vector to the full objective
-    vector; ``constraints`` (optional) returns raw constraint values g_i
-    with the feasibility convention g_i >= 0. Evaluation must be pure:
-    equal inputs yield bit-identical outputs.
+    ``objectives`` maps legal decision vectors, the rows of an ``(N,
+    n_vars)`` matrix, to their objective vectors, an ``(N, n_objectives)``
+    matrix, and a single vector to a single objective vector; writing it
+    over the last axis (``x[..., j]`` or ``x.T`` unpacking, and
+    ``np.stack(..., axis=-1)``) serves both. ``constraints`` (optional)
+    returns raw constraint values g_i, one row per input row, with the
+    feasibility convention g_i >= 0. Evaluation must be pure: equal inputs
+    yield bit-identical outputs.
     """
 
     name: str
@@ -105,30 +112,10 @@ class ProblemSpec:
             [j for j, k in enumerate(self.kinds) if isinstance(k, Discrete)], dtype=int
         )
 
-    @cached_property
-    def _all_continuous(self) -> bool:
-        return all(isinstance(k, Continuous) for k in self.kinds)
-
-
-def _round_half_away(values: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(values) + 0.5), values)
-
-
-def _snap_to_set(value: float, allowed: np.ndarray) -> float:
-    pos = int(np.searchsorted(allowed, value))
-    if pos == 0:
-        return float(allowed[0])
-    if pos == len(allowed):
-        return float(allowed[-1])
-    below, above = allowed[pos - 1], allowed[pos]
-    # tie goes to the smaller member
-    if value - below <= above - value:
-        return float(below)
-    return float(above)
-
 
 def decode(x_raw: Sequence[float] | np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Map a raw genotype to a legal decision vector.
+    """Map raw genotypes, one per row of a matrix (or a single vector), to
+    legal decision vectors.
 
     Coordinates are clamped to their bounds; integer coordinates are
     rounded to the nearest integer (ties away from zero) and discrete
@@ -136,39 +123,44 @@ def decode(x_raw: Sequence[float] | np.ndarray, spec: ProblemSpec) -> np.ndarray
     one). Idempotent: decode(decode(x)) == decode(x).
     """
     x = np.asarray(x_raw, dtype=float)
-    if x.shape != (spec.n_vars,):
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.n_vars:
         raise InvalidInputError(
-            f"{spec.name}: expected {spec.n_vars} variables, got shape {x.shape}"
+            f"{spec.name}: expected {spec.n_vars} variables per row, got shape {x.shape}"
         )
     x = np.clip(x, spec.lower, spec.upper)
-    if spec._all_continuous:
-        return x
-    idx = spec._integer_indices
-    if idx.size:
-        x[idx] = _round_half_away(x[idx])
+    ints = x[..., spec._integer_indices]
+    x[..., spec._integer_indices] = np.copysign(np.floor(np.abs(ints) + 0.5), ints)
     for j in spec._discrete_indices:
-        x[j] = _snap_to_set(x[j], np.asarray(spec.kinds[j].allowed))
+        allowed = np.asarray(spec.kinds[j].allowed)
+        pos = np.searchsorted(allowed, x[..., j])
+        below = allowed[np.maximum(pos - 1, 0)]
+        above = allowed[np.minimum(pos, len(allowed) - 1)]
+        x[..., j] = np.where(x[..., j] - below <= above - x[..., j], below, above)
     return x
 
 
 def evaluate(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """Evaluate a decoded decision vector into its objective vector.
+    """Evaluate decoded decision vectors, one per row of a matrix (or a
+    single vector), into their objective vectors, one per row.
 
     Raises :class:`EvaluationError` if the evaluator returns the wrong
     number of objectives or any non-finite value (all bundled problems are
     finite on their domains, so a NaN signals a bug, not a sentinel).
     """
+    x = np.asarray(x, dtype=float)
     f = np.asarray(spec.objectives(x), dtype=float)
-    if f.shape != (spec.n_objectives,):
+    expected = x.shape[:-1] + (spec.n_objectives,)
+    if f.shape != expected:
         raise EvaluationError(
-            f"{spec.name}: evaluator returned {f.shape}, expected ({spec.n_objectives},)",
-            x=x,
+            f"{spec.name}: evaluator returned {f.shape}, expected {expected}", x=x
         )
-    if not np.all(np.isfinite(f)):
-        bad = int(np.flatnonzero(~np.isfinite(f))[0])
+    rows, cols = np.nonzero(~np.isfinite(f.reshape(-1, spec.n_objectives)))
+    if rows.size:
+        row, bad = int(rows[0]), int(cols[0])
+        at = x.reshape(-1, spec.n_vars)[row]
         raise EvaluationError(
-            f"{spec.name}: objective {bad} is non-finite at x={x!r}",
-            x=x,
+            f"{spec.name}: objective {bad} of row {row} is non-finite at x={at!r}",
+            x=at,
             objective_index=bad,
         )
     return f

@@ -35,58 +35,55 @@ SPRING_WIRE_DIAMETERS = (
 )
 
 
-def constraint_violation(g) -> float:
-    """Total violation of constraints stated as g_i >= 0: the sum of
-    max(-g_i, 0), so feasible points score exactly 0."""
-    g = np.asarray(g, dtype=float)
-    return float(np.maximum(-g, 0.0).sum())
+def constraint_violation(g) -> np.ndarray:
+    """Total violation of constraints stated as g_i >= 0, per row: the sum
+    of max(-g_i, 0), so feasible points score exactly 0."""
+    return np.maximum(-np.asarray(g, dtype=float), 0.0).sum(axis=-1)
 
 
 # --------------------------------------------------------------------------
 # ZDT family
 # --------------------------------------------------------------------------
+# Every objective and constraint function below takes decision vectors as
+# the rows of a matrix (or one vector) and works over the last axis.
 
-def _zdt_g_linear(x: np.ndarray) -> float:
-    n = x.shape[0]
-    return 1.0 + 9.0 * x[1:].sum() / (n - 1)
+def _zdt_g_linear(x: np.ndarray) -> np.ndarray:
+    return 1.0 + 9.0 * x[..., 1:].sum(axis=-1) / (x.shape[-1] - 1)
 
 
 def _zdt1_obj(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
+    f1 = x[..., 0]
     g = _zdt_g_linear(x)
-    return np.array([f1, g * (1.0 - math.sqrt(f1 / g))])
+    return np.stack([f1, g * (1.0 - np.sqrt(f1 / g))], axis=-1)
 
 
 def _zdt2_obj(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
+    f1 = x[..., 0]
     g = _zdt_g_linear(x)
-    return np.array([f1, g * (1.0 - (f1 / g) ** 2)])
+    return np.stack([f1, g * (1.0 - (f1 / g) ** 2)], axis=-1)
 
 
 def _zdt3_obj(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
+    f1 = x[..., 0]
     g = _zdt_g_linear(x)
     ratio = f1 / g
-    return np.array([f1, g * (1.0 - math.sqrt(ratio) - ratio * math.sin(10.0 * math.pi * f1))])
+    return np.stack(
+        [f1, g * (1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * math.pi * f1))], axis=-1
+    )
 
 
 def _zdt4_obj(x: np.ndarray) -> np.ndarray:
-    f1 = x[0]
-    n = x.shape[0]
-    tail = x[1:]
-    g = 1.0 + 10.0 * (n - 1) + float((tail**2 - 10.0 * np.cos(4.0 * math.pi * tail)).sum())
-    return np.array([f1, g * (1.0 - math.sqrt(f1 / g))])
-
-
-def _zdt6_f1(x1: float) -> float:
-    return 1.0 - math.exp(-4.0 * x1) * math.sin(6.0 * math.pi * x1) ** 6
+    f1 = x[..., 0]
+    tail = x[..., 1:]
+    g = 1.0 + 10.0 * tail.shape[-1] + (tail**2 - 10.0 * np.cos(4.0 * math.pi * tail)).sum(axis=-1)
+    return np.stack([f1, g * (1.0 - np.sqrt(f1 / g))], axis=-1)
 
 
 def _zdt6_obj(x: np.ndarray) -> np.ndarray:
-    f1 = _zdt6_f1(x[0])
-    n = x.shape[0]
-    g = 1.0 + 9.0 * (x[1:].sum() / (n - 1)) ** 0.25
-    return np.array([f1, g * (1.0 - (f1 / g) ** 2)])
+    x1 = x[..., 0]
+    f1 = 1.0 - np.exp(-4.0 * x1) * np.sin(6.0 * math.pi * x1) ** 6
+    g = 1.0 + 9.0 * (x[..., 1:].sum(axis=-1) / (x.shape[-1] - 1)) ** 0.25
+    return np.stack([f1, g * (1.0 - (f1 / g) ** 2)], axis=-1)
 
 
 _ZDT_TABLE: dict[str, tuple[Callable, int, float, float]] = {
@@ -139,12 +136,12 @@ _TRUSS_SIGMA = 10.0   # stress bound
 
 
 def _truss_obj(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = x
-    f1 = _TRUSS_L * (2.0 * x1 + math.sqrt(2.0) * x2 + math.sqrt(x3) + x4)
+    x1, x2, x3, x4 = x.T
+    f1 = _TRUSS_L * (2.0 * x1 + math.sqrt(2.0) * x2 + np.sqrt(x3) + x4)
     f2 = (_TRUSS_F * _TRUSS_L / _TRUSS_E) * (
         2.0 / x1 + 2.0 * math.sqrt(2.0) / x2 - 2.0 * math.sqrt(2.0) / x3 + 2.0 / x4
     )
-    return np.array([f1, f2])
+    return np.stack([f1, f2], axis=-1)
 
 
 def four_bar_truss() -> ProblemSpec:
@@ -164,13 +161,14 @@ def four_bar_truss() -> ProblemSpec:
 
 
 def _vessel_g(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4 = x
-    return np.array(
+    x1, x2, x3, x4 = x.T
+    return np.stack(
         [
             x1 - 0.0193 * x3,
             x2 - 0.00954 * x3,
             math.pi * x3**2 * x4 + (4.0 / 3.0) * math.pi * x3**3 - 1296000.0,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -182,14 +180,14 @@ def pressure_vessel() -> ProblemSpec:
     """
 
     def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4 = x
+        x1, x2, x3, x4 = x.T
         f1 = (
             0.6224 * x1 * x3 * x4
             + 1.7781 * x2 * x3**2
             + 3.1661 * x1**2 * x4
             + 19.84 * x1**2 * x3
         )
-        return np.array([f1, constraint_violation(_vessel_g(x))])
+        return np.stack([f1, constraint_violation(_vessel_g(x))], axis=-1)
 
     return ProblemSpec(
         name="pressure_vessel",
@@ -215,13 +213,13 @@ _SPRING_G = 11.5e6         # shear modulus
 
 
 def _spring_g(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3 = x
+    x1, x2, x3 = x.T
     ratio = x2 / x3
     c_f = (4.0 * ratio - 1.0) / (4.0 * ratio - 4.0) + 0.615 * x3 / x2
     k = _SPRING_G * x3**4 / (8.0 * x1 * x2**3)
     sigma_p = _SPRING_F_P / k
     l_f = _SPRING_F_MAX / k + 1.05 * (x1 + 2.0) * x3
-    return np.array(
+    return np.stack(
         [
             -8.0 * c_f * _SPRING_F_MAX * x2 / (math.pi * x3**3) + _SPRING_S,
             -l_f + _SPRING_L_MAX,
@@ -229,7 +227,8 @@ def _spring_g(x: np.ndarray) -> np.ndarray:
             -sigma_p + _SPRING_SIGMA_PM,
             -sigma_p - (_SPRING_F_MAX - _SPRING_F_P) / k - 1.05 * (x1 + 2.0) * x3 + l_f,
             -_SPRING_SIGMA_W + (_SPRING_F_MAX - _SPRING_F_P) / k,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -241,9 +240,9 @@ def coil_spring() -> ProblemSpec:
     """
 
     def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = x
+        x1, x2, x3 = x.T
         f1 = math.pi**2 * x2 * x3**2 * (x1 + 2.0) / 4.0
-        return np.array([f1, constraint_violation(_spring_g(x))])
+        return np.stack([f1, constraint_violation(_spring_g(x))], axis=-1)
 
     table = SPRING_WIRE_DIAMETERS
     return ProblemSpec(
@@ -258,13 +257,14 @@ def coil_spring() -> ProblemSpec:
     )
 
 
-def _reducer_f2(x: np.ndarray) -> float:
-    return math.sqrt((745.0 * x[3] / (x[1] * x[2])) ** 2 + 1.69e7) / (0.1 * x[5] ** 3)
+def _reducer_f2(x: np.ndarray) -> np.ndarray:
+    x2, x3, x4, x6 = x[..., 1], x[..., 2], x[..., 3], x[..., 5]
+    return np.sqrt((745.0 * x4 / (x2 * x3)) ** 2 + 1.69e7) / (0.1 * x6**3)
 
 
 def _reducer_g(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4, x5, x6, x7 = x
-    return np.array(
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    return np.stack(
         [
             1.0 / 27.0 - 1.0 / (x1 * x2**3 * x3),
             1.0 / 397.5 - 1.0 / (x1 * x2**2 * x3**2),
@@ -276,8 +276,9 @@ def _reducer_g(x: np.ndarray) -> np.ndarray:
             -1.9 + x4 - 1.6 * x6,
             -1.9 + x5 - 1.1 * x7,
             1300.0 - _reducer_f2(x),
-            1100.0 - math.sqrt((745.0 * x5 / (x2 * x3)) ** 2 + 1.575e8) / (0.1 * x7**3),
-        ]
+            1100.0 - np.sqrt((745.0 * x5 / (x2 * x3)) ** 2 + 1.575e8) / (0.1 * x7**3),
+        ],
+        axis=-1,
     )
 
 
@@ -285,15 +286,15 @@ def speed_reducer() -> ProblemSpec:
     """Gearbox design: volume, shaft stress, and constraint violation."""
 
     def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4, x5, x6, x7 = x
+        x1, x2, x3, x4, x5, x6, x7 = x.T
         f1 = (
             0.7854 * x1 * x2**2 * (10.0 * x3**2 / 3.0 + 14.933 * x3 - 43.0934)
             - 1.508 * x1 * (x6**2 + x7**2)
             + 7.477 * (x6**3 + x7**3)
             + 0.7854 * (x4 * x6**2 + x5 * x7**2)
         )
-        return np.array(
-            [f1, _reducer_f2(x), constraint_violation(_reducer_g(x))]
+        return np.stack(
+            [f1, _reducer_f2(x), constraint_violation(_reducer_g(x))], axis=-1
         )
 
     return ProblemSpec(
@@ -316,21 +317,21 @@ def speed_reducer() -> ProblemSpec:
     )
 
 
-def _car_v_mbp(x: np.ndarray) -> float:
-    return 10.58 - 0.674 * x[0] - 0.67275 * x[1]
+def _car_v_mbp(x: np.ndarray) -> np.ndarray:
+    return 10.58 - 0.674 * x[..., 0] - 0.67275 * x[..., 1]
 
 
-def _car_v_fd(x: np.ndarray) -> float:
-    return 16.45 - 0.489 * x[2] * x[6] - 0.843 * x[4] * x[5]
+def _car_v_fd(x: np.ndarray) -> np.ndarray:
+    return 16.45 - 0.489 * x[..., 2] * x[..., 6] - 0.843 * x[..., 4] * x[..., 5]
 
 
-def _car_f2(x: np.ndarray) -> float:
-    return 4.72 - 0.5 * x[3] - 0.19 * x[1] * x[2]
+def _car_f2(x: np.ndarray) -> np.ndarray:
+    return 4.72 - 0.5 * x[..., 3] - 0.19 * x[..., 1] * x[..., 2]
 
 
 def _car_g(x: np.ndarray) -> np.ndarray:
-    x1, x2, x3, x4, x5, x6, x7 = x
-    return np.array(
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    return np.stack(
         [
             1.0 - 1.16 + 0.3717 * x2 * x4 + 0.0092928 * x3,
             0.32 - 0.261 + 0.0159 * x1 * x2 + 0.06486 * x1 + 0.019 * x2 * x7
@@ -345,7 +346,8 @@ def _car_g(x: np.ndarray) -> np.ndarray:
             4.0 - _car_f2(x),
             9.9 - _car_v_mbp(x),
             15.7 - _car_v_fd(x),
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -354,14 +356,13 @@ def car_side_impact() -> ProblemSpec:
     constraint violation (four objectives)."""
 
     def objectives(x: np.ndarray) -> np.ndarray:
+        x1, x2, x3, x4, x5, x6, x7 = x.T
         f1 = (
-            1.98 + 4.9 * x[0] + 6.67 * x[1] + 6.98 * x[2] + 4.01 * x[3]
-            + 1.78 * x[4] + 1e-5 * x[5] + 2.73 * x[6]
+            1.98 + 4.9 * x1 + 6.67 * x2 + 6.98 * x3 + 4.01 * x4
+            + 1.78 * x5 + 1e-5 * x6 + 2.73 * x7
         )
         f3 = 0.5 * (_car_v_mbp(x) + _car_v_fd(x))
-        return np.array(
-            [f1, _car_f2(x), f3, constraint_violation(_car_g(x))]
-        )
+        return np.stack([f1, _car_f2(x), f3, constraint_violation(_car_g(x))], axis=-1)
 
     return ProblemSpec(
         name="car_side_impact",

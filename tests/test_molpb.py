@@ -188,9 +188,9 @@ class TestEngine:
         base = coil_spring()
         seen = []
 
-        def recording(x):
-            seen.append(np.array(x))
-            return base.objectives(x)
+        def recording(X):
+            seen.extend(np.array(X))
+            return base.objectives(X)
 
         problem = dataclasses.replace(base, objectives=recording)
         engine = MolpbEngine(MolpbConfig(n_pop=16, seed=5), problem)

@@ -152,6 +152,21 @@ class TestEvaluate:
         assert err.value.objective_index == 1
         assert err.value.x is not None
 
+    def test_non_finite_objective_names_the_row(self):
+        spec = ProblemSpec(
+            name="log",
+            n_vars=1,
+            n_objectives=2,
+            lower=np.array([-1.0]),
+            upper=np.array([1.0]),
+            kinds=(Continuous(),),
+            objectives=lambda x: np.stack([x[..., 0], np.log(x[..., 0] + 1.0)], axis=-1),
+        )
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match="row 2") as err:
+            evaluate(spec, np.array([[0.5], [0.0], [-1.0], [-1.0]]))
+        assert err.value.objective_index == 1
+        assert np.array_equal(err.value.x, [-1.0])
+
     def test_wrong_arity_raises(self):
         spec = ProblemSpec(
             name="short",
@@ -171,6 +186,21 @@ def test_every_bundled_problem_is_finite_on_random_points():
     for name in problem_names():
         spec = get_problem(name)
         X = rng.uniform(spec.lower, spec.upper, size=(10_000, spec.n_vars))
-        for row in X:
-            f = spec.objectives(decode(row, spec))
-            assert np.all(np.isfinite(f)), f"{name} produced a non-finite objective"
+        F = spec.objectives(decode(X, spec))
+        assert F.shape == (10_000, spec.n_objectives)
+        assert np.all(np.isfinite(F)), f"{name} produced a non-finite objective"
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_batch_calls_equal_row_calls(name):
+    # a matrix call must give every row exactly what a one-row call gives
+    spec = get_problem(name)
+    rng = np.random.default_rng(11)
+    span = spec.upper - spec.lower
+    raw = rng.uniform(spec.lower - 0.5 * span, spec.upper + 0.5 * span, size=(64, spec.n_vars))
+    X = decode(raw, spec)
+    F = evaluate(spec, X)
+    assert X.shape == (64, spec.n_vars) and F.shape == (64, spec.n_objectives)
+    for i in range(64):
+        assert np.array_equal(decode(raw[i : i + 1], spec), X[i : i + 1])
+        assert np.array_equal(evaluate(spec, X[i : i + 1]), F[i : i + 1])
