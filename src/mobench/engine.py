@@ -3,18 +3,19 @@
 A population is four aligned arrays: ``X`` (decoded decision vectors, one
 row per member), ``F`` (their objective vectors), and each member's
 ``rank`` and crowding distance ``crowd`` from the last elitist merge. A
-generation draws parent pairs from :meth:`Engine.mating`, the one method
-an algorithm provides, applies SBX and polynomial mutation, decodes and
-evaluates the offspring, reduces parents plus offspring by rank and
-crowding, and offers the merged set's first front to the archive.
+generation is a handful of whole-array calls: :meth:`Engine.mating`, the
+one method an algorithm provides, returns the parent pairs as two index
+arrays; one SBX call crosses every pair and one polynomial mutation call
+perturbs every child; the offspring are decoded and evaluated in one
+batch; parents plus offspring are reduced by rank and crowding; and the
+merged set's first front (``rank == 0``) is offered to the archive.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,10 +77,10 @@ class Engine:
         self.front_size_trace: list[int] = []
         self.evaluation_trace: list[int] = []
 
-    def mating(self) -> Iterator[tuple[int, int]]:
-        """Row indices of the parent pair for each successive crossover of
-        the current generation. Pairs are pulled one at a time, between
-        the variation draws, so an algorithm may draw from ``rng`` lazily."""
+    def mating(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices ``(a, b)`` of the parents of the current generation,
+        ``offspring_count // 2`` each: pair ``i`` crosses ``X[a[i]]`` with
+        ``X[b[i]]``."""
         raise NotImplementedError
 
     def _evaluate(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -107,13 +108,11 @@ class Engine:
     def step(self) -> None:
         """One generation: mating, variation, elitist merge, archive update."""
         cfg, p = self.config, self.problem
-        children = []
-        for a, b in islice(self.mating(), cfg.offspring_count // 2):
-            pair = sbx_crossover(self.X[a], self.X[b], p.lower, p.upper, cfg.sbx_eta, self.rng)
-            children += [
-                polynomial_mutation(c, p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng)
-                for c in pair
-            ]
+        a, b = self.mating()
+        c1, c2 = sbx_crossover(self.X[a], self.X[b], p.lower, p.upper, cfg.sbx_eta, self.rng)
+        children = polynomial_mutation(
+            np.concatenate([c1, c2]), p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng
+        )
         X_children, F_children = self._evaluate(children)
         X = np.concatenate([self.X, X_children])
         F = np.concatenate([self.F, F_children])

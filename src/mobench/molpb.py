@@ -6,7 +6,7 @@ bad half prunes the main population, whose remaining members are routed
 into perfect / good / bad buckets relative to the pivot solutions. Parent
 pairs are drawn from the good half (internally and against main-population
 partners) and from the routed good members against the perfect bucket,
-borrowing from the bad bucket when the perfect one runs out. Offspring
+borrowing from the bad half when the perfect one runs out. Offspring
 re-enter through an elitist merge with rank/crowding selection, and the
 non-dominated members of the merged set feed a bounded external archive
 whose contents are the reported front.
@@ -15,7 +15,6 @@ whose contents are the reported front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -65,14 +64,14 @@ def filter_main(F, best_bad) -> np.ndarray:
     return np.flatnonzero(~dominated)
 
 
-def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray]:
     """Route each main-population row relative to the pivot solutions.
 
     Ranks and crowding are computed jointly over main + good + bad. A
-    member that the bad pivot precedes or ties goes to the bad bucket; one
-    that strictly precedes the good pivot goes to perfect; everything else
-    extends the good population. Returns the (perfect, good extension, bad
-    extension) row indices into ``main``.
+    member that the bad pivot precedes or ties goes to the bad bucket,
+    which takes no part in mating; one that strictly precedes the good
+    pivot goes to perfect; everything else extends the good population.
+    Returns the (perfect, good extension) row indices into ``main``.
     """
     if len(good) == 0 or len(bad) == 0:
         raise InvalidStateError("route_main needs non-empty good and bad halves")
@@ -89,13 +88,9 @@ def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     best_good = pivot(n_main, n_main + n_good)
     best_bad = pivot(n_main + n_good, len(rank))
-    to_bad = ~precedes(best_bad)
+    kept = precedes(best_bad)
     ahead = precedes(best_good)
-    return (
-        np.flatnonzero(~to_bad & ahead),
-        np.flatnonzero(~to_bad & ~ahead),
-        np.flatnonzero(to_bad),
-    )
+    return np.flatnonzero(kept & ahead), np.flatnonzero(kept & ~ahead)
 
 
 class MolpbEngine(Engine):
@@ -103,9 +98,11 @@ class MolpbEngine(Engine):
 
     def mating(self):
         """Split and route the population, then cycle through the parent
-        pairs: good-half pairs, good-half members against main-population
-        partners, and routed good members against the perfect bucket,
-        borrowing from the bad half when it runs out."""
+        pairs: consecutive members of the good half's first part (the last
+        with the first when the part is odd), the rest of the good half
+        against random main-population partners, and routed good members
+        against the perfect bucket, borrowing from the bad half when it
+        runs out."""
         cfg, F = self.config, self.F
         perm = self.rng.permutation(cfg.n_pop)
         split = dp_split_size(cfg.n_pop, cfg.dp)
@@ -113,20 +110,15 @@ class MolpbEngine(Engine):
         good_rows, bad_rows = split_good_bad(F[separated])
         good, bad = separated[good_rows], separated[bad_rows]
         main = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
-        perfect, extension, _ = route_main(F[main], F[good], F[bad])
-        perfect, extension = main[perfect], main[extension]
+        perfect, extension = (main[i] for i in route_main(F[main], F[good], F[bad]))
 
-        first_half = good[: (len(good) + 1) // 2]
-        second_half = good[(len(good) + 1) // 2 :]
-        pairs = [(first_half[i], first_half[i + 1]) for i in range(0, len(first_half) - 1, 2)]
-        if len(first_half) % 2 == 1:
-            pairs.append((first_half[-1], first_half[0]))
+        first, second = np.array_split(good, 2)
         partners = main if len(main) else bad
-        for member in second_half:
-            pairs.append((member, partners[int(self.rng.integers(len(partners)))]))
-        for i, member in enumerate(extension):
-            if i < len(perfect):
-                pairs.append((member, perfect[i]))
-            else:
-                pairs.append((member, bad[(i - len(perfect)) % len(bad)]))
-        yield from cycle(pairs)
+        a = np.concatenate([first[0::2], second, extension])
+        b = np.concatenate([
+            np.roll(first, -1)[0::2],
+            partners[self.rng.integers(len(partners), size=len(second))],
+            np.concatenate([perfect, np.resize(bad, len(extension))])[: len(extension)],
+        ])
+        pairs = np.arange(cfg.offspring_count // 2) % len(a)
+        return a[pairs], b[pairs]

@@ -9,6 +9,9 @@ engine so comparisons differ only in algorithmic logic.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .dominance import crowded_order
 from .engine import Engine, EngineConfig
 
 Nsga2Config = EngineConfig
@@ -17,12 +20,12 @@ Nsga2Config = EngineConfig
 class Nsga2Engine(Engine):
     algorithm = "nsga2"
 
-    def _tournament(self) -> int:
-        # Binary tournament on (rank, crowding), index breaking exact ties.
-        i, j = (int(v) for v in self.rng.integers(0, self.config.n_pop, size=2))
-        return min(i, j, key=lambda k: (self.rank[k], -self.crowd[k], k))
-
     def mating(self):
-        """Two independent tournaments per crossover."""
-        while True:
-            yield self._tournament(), self._tournament()
+        """Binary tournaments: each parent is the better of two members
+        drawn uniformly, the one earlier in crowded order (lower rank, then
+        larger crowding distance, then lower index)."""
+        half = self.config.offspring_count // 2
+        place = np.argsort(crowded_order(self.rank, self.crowd))
+        i, j = self.rng.integers(0, len(place), size=(2, 2, half))
+        a, b = np.where(place[i] < place[j], i, j)
+        return a, b

@@ -2,8 +2,10 @@
 
 Simulated binary crossover (SBX) and polynomial mutation are shared by
 both algorithms so that comparisons isolate the algorithmic logic rather
-than operator choices. All operators take an explicit numpy Generator and
-are pure given it.
+than operator choices. Both work on whole parent matrices, one pair or
+one child per row, with one draw of uniforms per call (a single vector
+is one row). All operators take an explicit numpy Generator and are pure
+given it.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ def dp_split_size(n_pop: int, dp: float) -> int:
 
 
 def sbx_crossover(p1, p2, lower, upper, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover; children clamped to the bounds.
+    """Simulated binary crossover of the parent pairs ``(p1[i], p2[i])``;
+    children clamped to the bounds.
 
     Pre-clamp the children are mean-preserving: (c1+c2)/2 == (p1+p2)/2
     coordinate-wise, and identical parents reproduce themselves exactly.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    u = rng.random(p1.shape[0])
+    u = rng.random(p1.shape)
     beta = np.where(
         u <= 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)),
@@ -54,13 +57,12 @@ def sbx_crossover(p1, p2, lower, upper, eta: float, rng) -> tuple[np.ndarray, np
 
 
 def polynomial_mutation(x, lower, upper, mutation_prob: float, eta: float, rng) -> np.ndarray:
-    """Polynomial mutation applied independently per coordinate with the
-    given probability; the perturbation scales with the variable range and
-    the result is clamped to the bounds."""
+    """Polynomial mutation applied independently per coordinate of every
+    row with the given probability; the perturbation scales with the
+    variable range and the result is clamped to the bounds."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    mask = rng.random(n) < mutation_prob
-    u = rng.random(n)
+    mask = rng.random(x.shape) < mutation_prob
+    u = rng.random(x.shape)
     delta = np.where(
         u < 0.5,
         (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0,

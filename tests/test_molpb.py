@@ -103,22 +103,22 @@ class TestFilterMain:
 class TestRouteMain:
     def test_dominator_of_good_goes_perfect(self):
         main = rows([(1, 1)])
-        perfect, good_ext, bad_ext = route_main(main, rows([(2, 2)]), rows([(3, 3)]))
+        perfect, good_ext = route_main(main, rows([(2, 2)]), rows([(3, 3)]))
         assert f_set(main, perfect) == {(1, 1)}
-        assert good_ext.size == 0 and bad_ext.size == 0
+        assert good_ext.size == 0
 
     def test_member_dominated_by_best_bad_goes_bad(self):
         main = rows([(2, 2)])
-        _, _, bad_ext = route_main(main, rows([(0, 0)]), rows([(1, 1)]))
-        assert f_set(main, bad_ext) == {(2, 2)}
+        perfect, good_ext = route_main(main, rows([(0, 0)]), rows([(1, 1)]))
+        assert perfect.size == 0 and good_ext.size == 0  # routed to the bad bucket
 
     def test_incomparable_middle_goes_good(self):
         # all rank 0 jointly; the bad pivot has finite crowding while the
         # member sits on a boundary, so neither strict condition fires
         main = rows([(10, 0.5), (0.6, 9)])
-        _, good_ext, bad_ext = route_main(main, rows([(0.5, 10)]), rows([(5, 5)]))
+        perfect, good_ext = route_main(main, rows([(0.5, 10)]), rows([(5, 5)]))
         assert f_set(main, good_ext) == {(10, 0.5)}
-        assert f_set(main, bad_ext) == {(0.6, 9)}
+        assert perfect.size == 0  # (0.6, 9) went to the bad bucket
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)
@@ -126,9 +126,10 @@ class TestRouteMain:
             main = rng.random((int(rng.integers(0, 25)), 2))
             good = rng.random((int(rng.integers(1, 6)), 2))
             bad = rng.random((int(rng.integers(1, 6)), 2))
-            routed = np.concatenate(route_main(main, good, bad))
-            assert len(routed) == len(main)
-            assert sorted(routed.tolist()) == list(range(len(main)))
+            perfect, good_ext = route_main(main, good, bad)
+            routed = np.concatenate([perfect, good_ext])
+            assert len(set(routed.tolist())) == len(routed)  # disjoint buckets
+            assert set(routed.tolist()) <= set(range(len(main)))
 
     def test_empty_pivot_groups_rejected(self):
         with pytest.raises(InvalidStateError):

@@ -62,20 +62,19 @@ class TestGeneration:
         assert len(kept) == k and all(rank[kept] == 0)
 
     def test_tournament_prefers_rank_then_crowding_then_index(self):
-        class Draws:  # hands the tournaments fixed contestant pairs
-            def __init__(self, pairs):
-                self.pairs = iter(pairs)
-
+        class Draws:  # hands the tournaments fixed contestants
             def integers(self, low, high, size):
-                return np.array(next(self.pairs))
+                # [first contestants, second contestants], each [parent a, parent b]
+                return np.array([[[0, 3], [1, 5]], [[1, 1], [2, 4]]]).reshape(size)
 
-        engine = Nsga2Engine(Nsga2Config(n_pop=6, seed=0), zdt("zdt1"))
+        engine = Nsga2Engine(Nsga2Config(n_pop=6, offspring_count=4, seed=0), zdt("zdt1"))
         engine.rank = np.array([1, 0, 0, 0, 1, 1])
         engine.crowd = np.array([9.0, 1.0, 3.0, 1.0, 0.0, 0.0])
-        engine.rng = Draws([(0, 1), (1, 2), (3, 1), (5, 4)])
-        mating = engine.mating()
-        assert next(mating) == (1, 2)  # lower rank wins; then larger crowding
-        assert next(mating) == (1, 4)  # exact ties go to the lower index
+        engine.rng = Draws()
+        a, b = engine.mating()
+        assert a.tolist() == [1, 1]  # 0 vs 1: lower rank wins; 3 vs 1: exact tie, lower index
+        assert b.tolist() == [2, 4]  # 1 vs 2: larger crowding wins; 5 vs 4: lower index
+
 
     def test_archive_mutually_non_dominated(self):
         engine = Nsga2Engine(Nsga2Config(n_pop=20, seed=3), zdt("zdt2"))

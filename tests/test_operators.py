@@ -71,22 +71,21 @@ class TestSbxCrossover:
 
     def test_children_stay_in_bounds(self):
         rng = np.random.default_rng(1)
-        for _ in range(20_000):
-            p1 = rng.random(5)
-            p2 = rng.random(5)
-            c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, rng)
-            assert np.all(c1 >= 0) and np.all(c1 <= 1)
-            assert np.all(c2 >= 0) and np.all(c2 <= 1)
+        p1 = rng.random((20_000, 5))
+        p2 = rng.random((20_000, 5))
+        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, rng)
+        assert c1.shape == c2.shape == (20_000, 5)
+        assert np.all(c1 >= 0) and np.all(c1 <= 1)
+        assert np.all(c2 >= 0) and np.all(c2 <= 1)
 
     def test_mean_preservation_preclamp(self):
         # with wide bounds nothing clamps, so the mean identity is exact
         rng = np.random.default_rng(2)
         wide_lo, wide_hi = np.full(5, -1e9), np.full(5, 1e9)
-        for _ in range(500):
-            p1 = rng.normal(size=5)
-            p2 = rng.normal(size=5)
-            c1, c2 = sbx_crossover(p1, p2, wide_lo, wide_hi, 20.0, rng)
-            assert np.allclose((c1 + c2) / 2, (p1 + p2) / 2, atol=1e-12)
+        p1 = rng.normal(size=(500, 5))
+        p2 = rng.normal(size=(500, 5))
+        c1, c2 = sbx_crossover(p1, p2, wide_lo, wide_hi, 20.0, rng)
+        assert np.allclose((c1 + c2) / 2, (p1 + p2) / 2, atol=1e-12)
 
     def test_midpoint_branch_brackets_parent_midpoint(self):
         p1 = np.array([0.1, 0.3, 0.9, 0.2, 0.6])
@@ -95,6 +94,16 @@ class TestSbxCrossover:
         mid = (p1 + p2) / 2
         assert np.all(np.minimum(c1, c2) <= mid + 1e-15)
         assert np.all(np.maximum(c1, c2) >= mid - 1e-15)
+
+    def test_matrix_rows_draw_the_stream_in_row_order(self):
+        # a matrix call consumes the uniforms exactly as successive row calls
+        rng = np.random.default_rng(3)
+        p1, p2 = rng.random((4, 5)), rng.random((4, 5))
+        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, np.random.default_rng(8))
+        row_rng = np.random.default_rng(8)
+        for i in range(4):
+            r1, r2 = sbx_crossover(p1[i], p2[i], self.lower, self.upper, 20.0, row_rng)
+            assert np.array_equal(r1, c1[i]) and np.array_equal(r2, c2[i])
 
     def test_deterministic_under_seed(self):
         p1 = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
@@ -130,10 +139,10 @@ class TestPolynomialMutation:
         rng = np.random.default_rng(6)
         lower = np.full(10, -2.0)
         upper = np.full(10, 3.0)
-        for _ in range(2000):
-            x = rng.uniform(-2, 3, size=10)
-            out = polynomial_mutation(x, lower, upper, 0.5, 20.0, rng)
-            assert np.all(out >= lower) and np.all(out <= upper)
+        x = rng.uniform(-2, 3, size=(2000, 10))
+        out = polynomial_mutation(x, lower, upper, 0.5, 20.0, rng)
+        assert out.shape == (2000, 10)
+        assert np.all(out >= lower) and np.all(out <= upper)
 
     def test_deterministic_under_seed(self):
         x = np.linspace(0, 1, 20)
