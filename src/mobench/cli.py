@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
 from .harness import ALGORITHMS, CampaignConfig, load_summaries, run_campaign, tabulate
 from .metrics import score_front
-from .results import read_front_csv
+from .results import read_front_csv, write_atomic
 from .suite import get_problem, load_reference_csv, problem_names
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _cmd_table(args) -> int:
         print(f"== {problem} ==")
         print(text)
         csv_path = Path(args.in_dir) / f"table_{problem}.csv"
-        csv_path.write_text(csv_text, encoding="utf-8")
+        write_atomic(csv_path, csv_text)
         print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -30,4 +30,5 @@ class UnsupportedProblemError(InvalidInputError):
 
 
 class FrontFileError(OSError):
-    """Raised when a front CSV file cannot be parsed."""
+    """Raised when a results file (a front CSV or a campaign summary JSON)
+    cannot be parsed."""

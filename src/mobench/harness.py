@@ -10,18 +10,16 @@ per metric plus total wall time).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import InvalidConfigError
+from .errors import FrontFileError, InvalidConfigError
 from .metrics import IndicatorReport, aggregate, score_front
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
-from .results import write_front_csv
+from .results import write_atomic, write_front_csv
 from .suite import (
     ReferenceFront,
     analytic_reference_front,
@@ -86,25 +84,25 @@ def resolve_reference(
     problem_name: str,
     path=None,
     cache_dir=None,
-    n_points: int = 1000,
     builder_runs: int = 20,
     builder_generations: int = 1000,
     builder_population: int = 100,
-    builder_seed: int = 0,
 ) -> ReferenceFront:
     """Pick the reference front for a problem.
 
     An explicit CSV path wins; ZDT problems fall back to their analytic
-    fronts; engineering problems fall back to a merged front built from
-    long runs of both algorithms. That front is cached in ``cache_dir``
-    under a name that records the builder's runs, generations, population
-    and seed, so later calls with the same budget reload it and calls with
-    another budget build their own.
+    fronts (1000 points); engineering problems fall back to a merged front
+    built from long runs of both algorithms with seeds 0, 1, ... That
+    front is cached in ``cache_dir`` under a name that records the
+    builder's runs, generations, population and first seed, so later calls
+    with the same budget reload it and calls with another budget build
+    their own. The cache is written atomically, so an interrupted build
+    never leaves a truncated cache that later calls would trust.
     """
     if path is not None:
         return load_reference_csv(path)
     if is_zdt(problem_name):
-        return analytic_reference_front(problem_name, n_points)
+        return analytic_reference_front(problem_name)
     if cache_dir is None:
         raise InvalidConfigError(
             f"{problem_name}: building a merged reference front needs a cache directory"
@@ -112,7 +110,7 @@ def resolve_reference(
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / (
         f"reference_{problem_name.lower()}_r{builder_runs}_g{builder_generations}"
-        f"_p{builder_population}_s{builder_seed}.csv"
+        f"_p{builder_population}_s0.csv"
     )
     if cache_file.exists():
         loaded = load_reference_csv(cache_file)
@@ -121,22 +119,13 @@ def resolve_reference(
     for algorithm in ALGORITHMS:
         for r in range(builder_runs):
             result = _execute_run(
-                algorithm, problem_name, builder_population, builder_generations, builder_seed + r
+                algorithm, problem_name, builder_population, builder_generations, r
             )
             if result.front.size:
                 fronts.append(result.front)
     reference = merged_reference_front(fronts)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    # write a temp file next to the cache and rename it, so an interrupted
-    # build never leaves a truncated cache that later calls would trust
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{cache_file.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_front_csv(tmp, reference.points)
-        os.replace(tmp, cache_file)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    write_front_csv(cache_file, reference.points)
     return reference
 
 
@@ -201,7 +190,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         "per_run": per_run,
     }
     summary_path = config.out_dir / f"summary_{config.algorithm}_{config.problem}.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -244,9 +233,13 @@ def parse_table_csv(text: str) -> dict[str, dict[str, float]]:
 
 
 def load_summaries(directory) -> list[dict]:
-    """Read every summary_*.json under a campaign output directory."""
+    """Read every summary_*.json under a campaign output directory; raises
+    :class:`FrontFileError` naming the file when one is not valid JSON."""
     directory = Path(directory)
     summaries = []
     for path in sorted(directory.glob("summary_*.json")):
-        summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        except json.JSONDecodeError as exc:
+            raise FrontFileError(f"{path}: not a valid summary: {exc}") from exc
     return summaries

@@ -103,20 +103,14 @@ def score_front(front, reference, gd_p: int = 2) -> IndicatorReport:
     )
 
 
-def aggregate(reports: Sequence[IndicatorReport], ddof: int = 0) -> EnsembleStats:
-    """Mean and standard deviation per metric over >= 1 runs.
-
-    The divisor is the population form (N) by default; pass ddof=1 for the
-    sample (N-1) convention.
-    """
+def aggregate(reports: Sequence[IndicatorReport]) -> EnsembleStats:
+    """Mean and population (N-divisor) standard deviation per metric over
+    >= 1 runs."""
     if len(reports) == 0:
         raise InvalidInputError("aggregate needs at least one report")
     values = {
         name: np.array([getattr(r, name) for r in reports]) for name in IndicatorReport._FIELDS
     }
     mean = IndicatorReport(**{name: float(v.mean()) for name, v in values.items()})
-    if len(reports) - ddof <= 0:
-        std = IndicatorReport(**{name: 0.0 for name in values})
-    else:
-        std = IndicatorReport(**{name: float(v.std(ddof=ddof)) for name, v in values.items()})
+    std = IndicatorReport(**{name: float(v.std()) for name, v in values.items()})
     return EnsembleStats(mean=mean, std=std, n_runs=len(reports))

@@ -154,10 +154,10 @@ def evaluate(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
         raise EvaluationError(
             f"{spec.name}: evaluator returned {f.shape}, expected {expected}", x=x
         )
-    rows, cols = np.nonzero(~np.isfinite(f.reshape(-1, spec.n_objectives)))
+    rows, cols = np.nonzero(~np.isfinite(np.atleast_2d(f)))
     if rows.size:
         row, bad = int(rows[0]), int(cols[0])
-        at = x.reshape(-1, spec.n_vars)[row]
+        at = np.atleast_2d(x)[row]
         raise EvaluationError(
             f"{spec.name}: objective {bad} of row {row} is non-finite at x={at!r}",
             x=at,

@@ -7,6 +7,8 @@ Front CSVs carry a ``f1,f2[,f3[,f4]]`` header and one member per row with
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +43,21 @@ class RunResult:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        write_atomic(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and a rename, so a reader, or a later run after a crash,
+    sees the old file or the whole new one, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_front_csv(path, front: np.ndarray) -> None:
@@ -52,7 +68,7 @@ def write_front_csv(path, front: np.ndarray) -> None:
     lines = [header]
     for row in F:
         lines.append(",".join(format(v, ".17g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_front_csv(path) -> np.ndarray:

@@ -80,6 +80,20 @@ def test_score_non_finite_value_exits_3(tmp_path, capsys, cell, bad_file):
     assert f"{bad_file}.csv:4" in capsys.readouterr().err
 
 
+def test_table_truncated_summary_exits_3(tmp_path, capsys):
+    assert main(
+        [
+            "run", "--algo", "nsga2", "--problem", "zdt1",
+            "--runs", "1", "--generations", "0", "--pop", "12",
+            "--out", str(tmp_path),
+        ]
+    ) == 0
+    summary = tmp_path / "summary_nsga2_zdt1.json"
+    summary.write_text(summary.read_text()[:40])
+    assert main(["table", "--in", str(tmp_path)]) == 3
+    assert "summary_nsga2_zdt1.json" in capsys.readouterr().err
+
+
 def test_score_missing_front_exits_3(tmp_path, capsys):
     code = main(
         ["score", "--front", str(tmp_path / "nope.csv"), "--reference", str(tmp_path / "nope.csv")]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mobench import harness
+from mobench import harness, results
 from mobench.errors import FrontFileError, InvalidConfigError
 from mobench.harness import (
     CampaignConfig,
@@ -40,6 +40,20 @@ class TestFrontCsv:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_front_csv(tmp_path / "absent.csv")
+
+    def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "front.csv"
+        write_front_csv(path, np.array([[0.0, 1.0]]))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(results.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_front_csv(path, np.array([[2.0, 3.0]]))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["front.csv"]
 
 
 class TestRunResultJson:

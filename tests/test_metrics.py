@@ -114,12 +114,6 @@ class TestAggregate:
         assert stats.mean.gd == 2.0
         assert stats.std.gd == 1.0  # population divisor
 
-    def test_sample_divisor_flag(self):
-        r1 = IndicatorReport(gd=1.0, rgd=1.0, spacing=1.0, max_spread=1.0)
-        r2 = IndicatorReport(gd=3.0, rgd=3.0, spacing=3.0, max_spread=3.0)
-        stats = aggregate([r1, r2], ddof=1)
-        assert stats.std.gd == pytest.approx(math.sqrt(2), abs=1e-12)
-
     def test_thirty_equal_reports(self):
         report = IndicatorReport(gd=0.5, rgd=0.5, spacing=0.5, max_spread=0.5)
         stats = aggregate([report] * 30)
