@@ -3,6 +3,9 @@
 Everything here minimizes. The sort uses the O(n_objectives * n^2)
 domination-count scheme and returns a rank array: ``rank[i]`` is the front
 number of row ``i``, so front 0 (the non-dominated set) is ``rank == 0``.
+Selection needs only :func:`crowded_order`: the first ``k`` indices it
+returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
+while they fit, then the overflowing front by descending crowding).
 """
 
 from __future__ import annotations
@@ -92,18 +95,3 @@ def crowded_order(rank, crowd) -> np.ndarray:
     larger crowding distance, then lower index."""
     return np.lexsort((-np.asarray(crowd, dtype=float), np.asarray(rank)))
 
-
-def environmental_selection(rank, crowd, k: int) -> np.ndarray:
-    """Indices of the best ``k`` rows: whole fronts while they fit, each in
-    index order, then the overflowing front by descending crowding distance
-    (ties by index)."""
-    rank = np.asarray(rank)
-    crowd = np.asarray(crowd, dtype=float)
-    by_front = np.argsort(rank, kind="stable")
-    if k >= len(by_front):
-        return by_front
-    overflow = rank[by_front[k]]
-    whole = by_front[rank[by_front] < overflow]
-    front = np.flatnonzero(rank == overflow)
-    best = front[np.argsort(-crowd[front], kind="stable")]
-    return np.concatenate([whole, best[: k - len(whole)]])

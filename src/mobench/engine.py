@@ -1,14 +1,17 @@
 """The generation loop shared by MOLPB and NSGA-II.
 
-A population is four aligned arrays: ``X`` (decoded decision vectors, one
-row per member), ``F`` (their objective vectors), and each member's
-``rank`` and crowding distance ``crowd`` from the last elitist merge. A
+A population is two aligned arrays, ``X`` (decoded decision vectors, one
+row per member) and ``F`` (their objective vectors), with the rows kept
+best first: in crowded order (lower rank, then larger crowding distance,
+then lower index) of the elitist merge that produced them, so a lower
+row index means a member that is no worse by the crowded comparison. A
 generation is a handful of whole-array calls: :meth:`Engine.mating`, the
 one method an algorithm provides, returns the parent pairs as two index
 arrays; one SBX call crosses every pair and one polynomial mutation call
 perturbs every child; the offspring are decoded and evaluated in one
-batch; parents plus offspring are reduced by rank and crowding; and the
-merged set's first front (``rank == 0``) is offered to the archive.
+batch; and :meth:`Engine._merge` ranks parents plus offspring once, keeps
+the first ``n_pop`` rows in crowded order and offers the merged set's
+first front (``rank == 0``) to the archive.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import ParetoArchive
-from .dominance import environmental_selection, rank_and_crowd
+from .dominance import crowded_order, rank_and_crowd
 from .errors import InvalidConfigError
 from .operators import default_offspring_count, polynomial_mutation, sbx_crossover
 from .problems import ProblemSpec, decode, evaluate
@@ -70,12 +73,9 @@ class Engine:
         self.archive = ParetoArchive(config.archive_capacity)
         self.X = np.empty((0, problem.n_vars))
         self.F = np.empty((0, problem.n_objectives))
-        self.rank = np.empty(0, dtype=int)
-        self.crowd = np.empty(0)
         self.evaluations = 0
         self.generation = 0
         self.front_size_trace: list[int] = []
-        self.evaluation_trace: list[int] = []
 
     def mating(self) -> tuple[np.ndarray, np.ndarray]:
         """Row indices ``(a, b)`` of the parents of the current generation,
@@ -89,21 +89,25 @@ class Engine:
         self.evaluations += len(X)
         return X, F
 
-    def _record(self, front) -> None:
-        for f in front:
+    def _merge(self, X_new, F_new) -> None:
+        """Elitist merge: rank the population plus the newcomers once, keep
+        the best ``n_pop`` rows in crowded order, and offer the merged
+        set's first front to the archive in merged-row order."""
+        X = np.concatenate([self.X, X_new])
+        F = np.concatenate([self.F, F_new])
+        rank, crowd = rank_and_crowd(F)
+        keep = crowded_order(rank, crowd)[: self.config.n_pop]
+        self.X, self.F = X[keep], F[keep]
+        for f in F[rank == 0]:
             self.archive.insert(f)
         self.front_size_trace.append(len(self.archive))
-        self.evaluation_trace.append(self.evaluations)
 
     def initialize(self) -> None:
         """Uniform random population; the archive starts from its
         non-dominated subset."""
         p = self.problem
-        self.X, self.F = self._evaluate(
-            self.rng.uniform(p.lower, p.upper, size=(self.config.n_pop, p.n_vars))
-        )
-        self.rank, self.crowd = rank_and_crowd(self.F)
-        self._record(self.F[self.rank == 0])
+        rows = self.rng.uniform(p.lower, p.upper, size=(self.config.n_pop, p.n_vars))
+        self._merge(*self._evaluate(rows))
 
     def step(self) -> None:
         """One generation: mating, variation, elitist merge, archive update."""
@@ -113,14 +117,8 @@ class Engine:
         children = polynomial_mutation(
             np.concatenate([c1, c2]), p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng
         )
-        X_children, F_children = self._evaluate(children)
-        X = np.concatenate([self.X, X_children])
-        F = np.concatenate([self.F, F_children])
-        rank, crowd = rank_and_crowd(F)
-        keep = environmental_selection(rank, crowd, cfg.n_pop)
-        self.X, self.F, self.rank, self.crowd = X[keep], F[keep], rank[keep], crowd[keep]
         self.generation += 1
-        self._record(F[rank == 0])
+        self._merge(*self._evaluate(children))
 
     def result(self, wall_ms: float) -> RunResult:
         return RunResult(
@@ -132,7 +130,6 @@ class Engine:
             wall_ms=wall_ms,
             front=self.archive.objectives(),
             front_size_trace=list(self.front_size_trace),
-            evaluation_trace=list(self.evaluation_trace),
         )
 
     def run(self) -> RunResult:

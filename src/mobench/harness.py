@@ -62,6 +62,12 @@ class CampaignConfig:
             raise InvalidConfigError("jobs must be >= 1")
         if self.gd_p not in (1, 2):
             raise InvalidConfigError("gd_p must be 1 or 2")
+        # the engine's own checks, before any reference build starts
+        ENGINES[self.algorithm][1](
+            n_pop=self.population,
+            archive_capacity=self.population,
+            max_generations=self.generations,
+        )
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.reference_path is not None:
             object.__setattr__(self, "reference_path", Path(self.reference_path))
@@ -234,12 +240,18 @@ def parse_table_csv(text: str) -> dict[str, dict[str, float]]:
 
 def load_summaries(directory) -> list[dict]:
     """Read every summary_*.json under a campaign output directory; raises
-    :class:`FrontFileError` naming the file when one is not valid JSON."""
+    :class:`FrontFileError` naming the file when one is not valid JSON or
+    lacks a key that :func:`tabulate` reads."""
     directory = Path(directory)
     summaries = []
     for path in sorted(directory.glob("summary_*.json")):
         try:
-            summaries.append(json.loads(path.read_text(encoding="utf-8")))
+            summary = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise FrontFileError(f"{path}: not a valid summary: {exc}") from exc
+        try:  # every key that tabulate and the table command read
+            [summary["algorithm"], summary["problem"]] + [summary["stats"][r] for r in STAT_ROWS]
+        except (KeyError, TypeError) as exc:
+            raise FrontFileError(f"{path}: not a valid summary: {exc!r}") from exc
+        summaries.append(summary)
     return summaries

@@ -29,7 +29,6 @@ class RunResult:
     wall_ms: float
     front: np.ndarray
     front_size_trace: list[int] = field(default_factory=list)
-    evaluation_trace: list[int] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,9 +1,12 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.archive import ParetoArchive
 from mobench.dominance import dominates
 
 from oracles import non_dominated_mask_python
+from strategies import objective_rows
 
 
 def sol(*f):
@@ -103,17 +106,30 @@ class TestInvariants:
                 assert all_pairs_non_dominated(arc)
         assert all_pairs_non_dominated(arc)
 
-    def test_members_match_non_dominated_oracle(self):
-        rng = np.random.default_rng(13)
-        arc = ParetoArchive(capacity=1000)  # big enough that nothing truncates
-        points = rng.integers(0, 20, size=(300, 2)).astype(float)
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows())
+    def test_members_match_non_dominated_oracle(self, points):
+        arc = ParetoArchive(capacity=len(points))  # big enough that nothing truncates
         for p in points:
             arc.insert(p)
         # without truncation the archive holds exactly the distinct
         # non-dominated subset of everything offered
-        mask = non_dominated_mask_python(points.tolist())
-        expected = {tuple(p) for p, keep in zip(points.tolist(), mask) if keep}
-        assert {tuple(row) for row in arc.objectives().tolist()} == expected
+        mask = non_dominated_mask_python(points)
+        expected = {tuple(p) for p, keep in zip(points, mask) if keep}
+        members = [tuple(row) for row in arc.objectives().tolist()]
+        assert len(members) == len(expected) and set(members) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows(), st.data())
+    def test_truncated_archive_is_bounded_and_mutually_non_dominated(self, points, data):
+        capacity = data.draw(st.integers(1, len(points)))
+        arc = ParetoArchive(capacity)
+        for p in points:
+            arc.insert(p)
+            assert len(arc) <= capacity
+        members = arc.objectives().tolist()
+        assert all(non_dominated_mask_python(members))
+        assert len(set(map(tuple, members))) == len(members)
 
     def test_rejection_monotonicity_audit(self):
         rng = np.random.default_rng(14)

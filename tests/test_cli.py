@@ -89,9 +89,16 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
         ]
     ) == 0
     summary = tmp_path / "summary_nsga2_zdt1.json"
-    summary.write_text(summary.read_text()[:40])
-    assert main(["table", "--in", str(tmp_path)]) == 3
-    assert "summary_nsga2_zdt1.json" in capsys.readouterr().err
+    text = summary.read_text()
+    for damaged, named in [
+        (text[:40], "summary_nsga2_zdt1.json"),
+        ('{"algorithm": "nsga2"}', "KeyError('problem')"),
+        ('{"algorithm": "nsga2", "problem": "zdt1", "stats": {}}', "KeyError('Ave.GD')"),
+    ]:
+        summary.write_text(damaged)
+        assert main(["table", "--in", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "summary_nsga2_zdt1.json" in err and named in err
 
 
 def test_score_missing_front_exits_3(tmp_path, capsys):

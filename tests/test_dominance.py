@@ -9,7 +9,6 @@ from mobench.dominance import (
     crowded_order,
     crowding_distance,
     dominates,
-    environmental_selection,
     non_dominated_sort,
     rank_and_crowd,
 )
@@ -24,17 +23,13 @@ from oracles import (
     rank_array,
     selection_oracle,
 )
+from strategies import objective_rows
 
 
-@st.composite
-def objective_rows(draw):
-    """Small objective matrices on a coarse grid, so duplicate rows and
-    ties in single objectives are common."""
-    m = draw(st.integers(2, 4))
-    n = draw(st.integers(1, 30))
-    cells = st.integers(0, 4) | st.sampled_from([-1e300, 1e300, 0.5])
-    rows = draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
-    return [[float(v) for v in row] for row in rows]
+def select(points, k):
+    """Environmental selection as the engine does it: the first ``k`` rows
+    in crowded order."""
+    return crowded_order(*rank_and_crowd(points))[:k]
 
 
 class TestDominates:
@@ -144,19 +139,10 @@ class TestCrowdingDistance:
         assert math.isinf(crowd[0]) and math.isinf(crowd[-1])
         assert np.all(crowd[1:-1] == 0.0)
 
-    def test_matches_literal_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            n = int(rng.integers(3, 40))
-            m = int(rng.integers(2, 4))
-            F = rng.random((n, m))
-            got = crowding_distance(F)
-            want = crowding_oracle(F.tolist())
-            for g, w in zip(got, want):
-                if math.isinf(w):
-                    assert math.isinf(g)
-                else:
-                    assert g == pytest.approx(w, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows())
+    def test_matches_literal_oracle(self, points):
+        assert crowding_distance(points).tolist() == crowding_oracle(points)
 
     def test_affine_rescale_leaves_finite_entries_unchanged(self):
         rng = np.random.default_rng(8)
@@ -186,7 +172,7 @@ class TestSelectionHelpers:
 
     def test_environmental_selection_fills_by_crowding(self):
         F = np.array([(0, 1), (0.5, 0.5), (1, 0), (0.45, 0.55), (2, 2)])
-        kept = environmental_selection(*rank_and_crowd(F), 3)
+        kept = select(F, 3)
         kept_f = {tuple(F[i]) for i in kept}
         # boundary points always survive; the clustered pair loses a member
         assert (0, 1) in kept_f and (1, 0) in kept_f
@@ -195,7 +181,7 @@ class TestSelectionHelpers:
 
     def test_environmental_selection_keeps_whole_fitting_fronts(self):
         F = np.array([(1, 1), (0, 0), (2, 2)], dtype=float)
-        kept = environmental_selection(*rank_and_crowd(F), 2)
+        kept = select(F, 2)
         kept_f = [tuple(F[i]) for i in kept]
         assert kept_f == [(0.0, 0.0), (1.0, 1.0)]
 
@@ -210,14 +196,12 @@ class TestRankProperties:
     @given(objective_rows(), st.data())
     def test_environmental_selection_matches_oracle(self, points, data):
         k = data.draw(st.integers(1, len(points)))
-        kept = environmental_selection(*rank_and_crowd(points), k)
-        assert kept.tolist() == selection_oracle(points, k)
+        assert sorted(select(points, k).tolist()) == sorted(selection_oracle(points, k))
 
     @settings(max_examples=200, deadline=None)
     @given(objective_rows())
-    def test_exactly_fitting_fronts_are_kept_whole_in_index_order(self, points):
-        rank, crowd = rank_and_crowd(points)
+    def test_exactly_fitting_fronts_are_kept_whole(self, points):
+        rank = non_dominated_sort(points)
         for r in range(rank.max() + 1):
             k = int(np.count_nonzero(rank <= r))
-            kept = environmental_selection(rank, crowd, k)
-            assert kept.tolist() == np.argsort(rank, kind="stable")[:k].tolist()
+            assert sorted(select(points, k).tolist()) == np.flatnonzero(rank <= r).tolist()

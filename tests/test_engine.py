@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mobench.dominance import non_dominated_sort
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
-from mobench.suite import coil_spring
+from mobench.suite import coil_spring, zdt
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -18,3 +19,19 @@ def test_stored_genotype_is_decoded(algorithm):
         engine.step()
     for row in engine.X:
         assert np.array_equal(row, decode(row, problem))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_population_is_stored_best_first(algorithm):
+    # rows are in crowded order, so the population's own front numbers
+    # never decrease down the rows; on zdt4 the population keeps several
+    # fronts for many generations
+    engine_cls, config_cls = ENGINES[algorithm]
+    engine = engine_cls(config_cls(n_pop=20, seed=3), zdt("zdt4"))
+    engine.initialize()
+    ranks = [non_dominated_sort(engine.F)]
+    for _ in range(10):
+        engine.step()
+        ranks.append(non_dominated_sort(engine.F))
+    assert all(np.all(np.diff(rank) >= 0) for rank in ranks)
+    assert all(rank.max() > 0 for rank in ranks)

@@ -90,6 +90,17 @@ class TestCampaignConfig:
         with pytest.raises(InvalidConfigError):
             CampaignConfig(algorithm="molpb", problem="zdt1", out_dir=tmp_path, runs=0)
 
+    def test_bad_engine_settings_fail_before_any_reference_run(self, tmp_path, monkeypatch):
+        builds = []
+        monkeypatch.setattr(harness, "_execute_run", lambda *args: builds.append(args))
+        with pytest.raises(InvalidConfigError, match="population size"):
+            run_campaign(
+                CampaignConfig(
+                    algorithm="molpb", problem="coil_spring", out_dir=tmp_path, population=3
+                )
+            )
+        assert builds == [] and list(tmp_path.iterdir()) == []
+
 
 class TestResolveReference:
     def test_zdt_defaults_to_analytic(self):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.errors import InvalidInputError
 from mobench.metrics import IndicatorReport, aggregate, gd, max_spread, rgd, score_front, spacing
 
 from oracles import gd_oracle, max_spread_oracle, rgd_oracle, spacing_oracle
+from strategies import objective_rows
 
 
 class TestGd:
@@ -86,18 +89,16 @@ class TestMaxSpread:
         assert max_spread(scaled) == pytest.approx(math.sqrt(4 + 1), abs=1e-12)
 
 
-def test_all_metrics_match_oracles_on_random_fronts():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        n_a = int(rng.integers(2, 50))
-        n_b = int(rng.integers(2, 50))
-        m = int(rng.integers(2, 5))
-        front = rng.random((n_a, m)) * 10
-        ref = rng.random((n_b, m)) * 10
-        assert gd(front, ref) == pytest.approx(gd_oracle(front.tolist(), ref.tolist()), abs=1e-10)
-        assert rgd(front, ref) == pytest.approx(rgd_oracle(front.tolist(), ref.tolist()), abs=1e-10)
-        assert spacing(front) == pytest.approx(spacing_oracle(front.tolist()), abs=1e-10)
-        assert max_spread(front) == pytest.approx(max_spread_oracle(front.tolist()), abs=1e-10)
+@settings(max_examples=300, deadline=None)
+@given(objective_rows(extremes=False), st.data())
+def test_all_metrics_match_oracles_on_random_fronts(front, data):
+    ref = data.draw(objective_rows(m=len(front[0]), extremes=False))
+    close = dict(rel=1e-12, abs=1e-12)
+    for p in (1, 2):
+        assert gd(front, ref, p=p) == pytest.approx(gd_oracle(front, ref, p=p), **close)
+        assert rgd(front, ref, p=p) == pytest.approx(rgd_oracle(front, ref, p=p), **close)
+    assert spacing(front) == pytest.approx(spacing_oracle(front), **close)
+    assert max_spread(front) == pytest.approx(max_spread_oracle(front), **close)
 
 
 class TestAggregate:

@@ -165,7 +165,6 @@ class TestEngine:
         for _ in range(5):
             engine.step()
             assert engine.X.shape == (24, 30) and engine.F.shape == (24, 2)
-            assert engine.rank.shape == engine.crowd.shape == (24,)
 
     def test_evaluations_per_generation_equal_offspring_count(self):
         cfg = MolpbConfig(n_pop=24, seed=3)
@@ -228,8 +227,6 @@ class TestEngine:
         cfg = MolpbConfig(n_pop=20, seed=8, max_generations=6)
         result = run(cfg, zdt("zdt1"))
         assert len(result.front_size_trace) == 7  # initial state + 6 generations
-        assert result.evaluation_trace[0] == 20
-        assert result.evaluation_trace[-1] == 20 + 6 * cfg.offspring_count
 
     def test_tiny_population_edge_case(self):
         # dp=0.9 on n_pop=4 separates everyone; the main population is empty

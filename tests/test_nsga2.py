@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mobench.dominance import dominates, environmental_selection, rank_and_crowd
+from mobench.dominance import crowded_order, dominates, rank_and_crowd
 from mobench.errors import InvalidConfigError
 from mobench.nsga2 import Nsga2Config, Nsga2Engine
 from mobench.suite import zdt
@@ -33,7 +33,6 @@ class TestGeneration:
         for _ in range(5):
             engine.step()
             assert engine.X.shape == (24, 30) and engine.F.shape == (24, 2)
-            assert engine.rank.shape == engine.crowd.shape == (24,)
 
     def test_merged_set_grows_by_offspring_count(self):
         cfg = Nsga2Config(n_pop=24, seed=1)
@@ -49,7 +48,7 @@ class TestGeneration:
         F = np.array([(0, 3), (1, 1), (3, 0), (2, 3), (3, 2), (4, 4)], dtype=float)
         rank, crowd = rank_and_crowd(F)
         assert np.count_nonzero(rank == 0) == 3
-        kept = environmental_selection(rank, crowd, 3)
+        kept = crowded_order(rank, crowd)[:3]
         assert {tuple(F[i]) for i in kept} == {(0, 3), (1, 1), (3, 0)}
 
     def test_elitism_never_trades_rank_zero_for_dominated(self):
@@ -58,23 +57,24 @@ class TestGeneration:
         F = rng.random((40, 2))
         rank, crowd = rank_and_crowd(F)
         k = max(2, np.count_nonzero(rank == 0) - 2)
-        kept = environmental_selection(rank, crowd, k)
+        kept = crowded_order(rank, crowd)[:k]
         assert len(kept) == k and all(rank[kept] == 0)
 
-    def test_tournament_prefers_rank_then_crowding_then_index(self):
+    def test_tournament_winner_is_lower_row_index(self):
+        # the population is stored best first, so the lower row index is
+        # the crowded-comparison winner, and an index drawn twice wins
         class Draws:  # hands the tournaments fixed contestants
             def integers(self, low, high, size):
+                assert (low, high) == (0, 6)
                 # [first contestants, second contestants], each [parent a, parent b]
                 return np.array([[[0, 3], [1, 5]], [[1, 1], [2, 4]]]).reshape(size)
 
         engine = Nsga2Engine(Nsga2Config(n_pop=6, offspring_count=4, seed=0), zdt("zdt1"))
-        engine.rank = np.array([1, 0, 0, 0, 1, 1])
-        engine.crowd = np.array([9.0, 1.0, 3.0, 1.0, 0.0, 0.0])
+        engine.initialize()
         engine.rng = Draws()
         a, b = engine.mating()
-        assert a.tolist() == [1, 1]  # 0 vs 1: lower rank wins; 3 vs 1: exact tie, lower index
-        assert b.tolist() == [2, 4]  # 1 vs 2: larger crowding wins; 5 vs 4: lower index
-
+        assert a.tolist() == [0, 1]  # 0 vs 1, 3 vs 1
+        assert b.tolist() == [1, 4]  # 1 vs 2, 5 vs 4
 
     def test_archive_mutually_non_dominated(self):
         engine = Nsga2Engine(Nsga2Config(n_pop=20, seed=3), zdt("zdt2"))
