@@ -1,12 +1,15 @@
 """Bounded external archive of mutually non-dominated objective vectors.
 
-The archive stores the best front found across a whole run. Inserting a
-dominated or duplicate objective vector is a no-op; an accepted one evicts
-every member it dominates, and overflow is resolved by repeatedly dropping
-the member with the smallest finite crowding distance (recomputed after
-each removal) until the capacity holds. Members with infinite crowding
+The archive stores the best front found across a run. One
+:meth:`ParetoArchive.insert` call offers a matrix of objective rows: the
+members, in their order, are stacked above the offered rows, every row
+that another row dominates or that an earlier row matches exactly is
+dropped, and overflow is then resolved by repeatedly dropping the member
+with the smallest finite crowding distance (recomputed after each
+removal) until the capacity holds. Members with infinite crowding
 (per-objective extremes) are only ever dropped when no finite-crowding
-member remains.
+member remains. Without truncation, one batch leaves the same members in
+the same order as offering its rows one at a time.
 """
 
 from __future__ import annotations
@@ -22,43 +25,32 @@ class ParetoArchive:
         if capacity < 1:
             raise InvalidConfigError("archive capacity must be >= 1")
         self.capacity = capacity
-        self._F: np.ndarray | None = None  # one row per member
+        self._F = np.empty((0, 0))  # one row per member
 
     def __len__(self) -> int:
-        return 0 if self._F is None else len(self._F)
+        return len(self._F)
 
     def objectives(self) -> np.ndarray:
         """Objective matrix of the current members, one row per member."""
-        if self._F is None:
-            return np.empty((0, 0))
         return self._F.copy()
 
-    def insert(self, f) -> bool:
-        """Offer an objective vector to the archive.
+    def insert(self, F) -> int:
+        """Offer objective rows (a single vector is one row) to the archive.
 
-        Returns True iff it was accepted. Rejected when any member
-        dominates it or matches it exactly (duplicates corrupt spacing and
-        crowding statistics).
+        Returns how many offered rows became members, before truncation.
+        A row is rejected when any member or offered row dominates it, or
+        when an earlier one matches it exactly (duplicates corrupt spacing
+        and crowding statistics).
         """
-        cf = np.asarray(f, dtype=float)
-        if self._F is None:
-            self._F = cf[None, :].copy()
-            return True
-        F = self._F
-        le = (F <= cf).all(axis=1)
-        if le.any():
-            # a member no worse everywhere either dominates the candidate
-            # or equals it exactly; both mean rejection
-            return False
-        ge = (F >= cf).all(axis=1)
-        gt = (F > cf).any(axis=1)
-        keep = ~(ge & gt)
-        if not keep.all():
-            F = F[keep]
-        self._F = np.concatenate([F, cf[None, :]], axis=0)
-        if len(self._F) > self.capacity:
-            self.truncate()
-        return True
+        new = np.atleast_2d(np.asarray(F, dtype=float))
+        F = np.concatenate([self._F, new]) if len(self) else new
+        le = (F[:, None, :] <= F[None, :, :]).all(axis=2)  # le[i, j]: row i no worse than row j
+        lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
+        earlier = np.triu(np.ones_like(le), k=1)
+        keep = ~(le & (lt | earlier)).any(axis=0)
+        self._F = F[keep]
+        self.truncate()
+        return int(keep[len(F) - len(new):].sum())
 
     def truncate(self) -> None:
         """Drop lowest-crowding members one at a time until within capacity."""

@@ -15,14 +15,16 @@ def random_search(
     problem: ProblemSpec, n_evaluations: int, archive_capacity: int = 100, seed: int = 0
 ) -> RunResult:
     """Uniform random sampling with the same archive bookkeeping as the
-    evolutionary engines; the front is whatever the archive retains after
-    the full evaluation budget."""
+    evolutionary engines; the samples are offered in consecutive batches of
+    at most ``archive_capacity`` rows, and the front is whatever the archive
+    retains after the full evaluation budget."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     archive = ParetoArchive(archive_capacity)
     X = rng.uniform(problem.lower, problem.upper, size=(n_evaluations, problem.n_vars))
-    for f in evaluate(problem, decode(X, problem)):
-        archive.insert(f)
+    F = evaluate(problem, decode(X, problem))
+    for i in range(0, n_evaluations, archive_capacity):
+        archive.insert(F[i : i + archive_capacity])
     return RunResult(
         algorithm="random",
         problem=problem.name,

@@ -10,8 +10,12 @@ one method an algorithm provides, returns the parent pairs as two index
 arrays; one SBX call crosses every pair and one polynomial mutation call
 perturbs every child; the offspring are decoded and evaluated in one
 batch; and :meth:`Engine._merge` ranks parents plus offspring once, keeps
-the first ``n_pop`` rows in crowded order and offers the merged set's
-first front (``rank == 0``) to the archive.
+the first ``n_pop`` rows in crowded order and offers the newcomers in the
+merged set's first front (``rank == 0``) to the archive in one call. Each
+evaluated point is thus offered at most once, in the generation it is
+evaluated. No front-0 point is missed: a member in a merged first front
+was in the first front when it entered, since a row that dominated it
+then ranks lower and is kept whenever it is.
 """
 
 from __future__ import annotations
@@ -91,15 +95,15 @@ class Engine:
 
     def _merge(self, X_new, F_new) -> None:
         """Elitist merge: rank the population plus the newcomers once, keep
-        the best ``n_pop`` rows in crowded order, and offer the merged
-        set's first front to the archive in merged-row order."""
+        the best ``n_pop`` rows in crowded order, and offer the newcomers
+        in the merged set's first front to the archive in one call."""
+        n = len(self.X)
         X = np.concatenate([self.X, X_new])
         F = np.concatenate([self.F, F_new])
         rank, crowd = rank_and_crowd(F)
         keep = crowded_order(rank, crowd)[: self.config.n_pop]
         self.X, self.F = X[keep], F[keep]
-        for f in F[rank == 0]:
-            self.archive.insert(f)
+        self.archive.insert(F[n:][rank[n:] == 0])
         self.front_size_trace.append(len(self.archive))
 
     def initialize(self) -> None:

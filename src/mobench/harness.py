@@ -225,23 +225,11 @@ def tabulate(summaries: Sequence[dict]) -> tuple[str, str]:
     return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
 
 
-def parse_table_csv(text: str) -> dict[str, dict[str, float]]:
-    """Inverse of the CSV side of :func:`tabulate`: {algorithm: {row: value}}."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    names = header[1:]
-    table: dict[str, dict[str, float]] = {n: {} for n in names}
-    for line in lines[1:]:
-        cells = line.split(",")
-        for name, cell in zip(names, cells[1:]):
-            table[name][cells[0]] = float(cell)
-    return table
-
-
 def load_summaries(directory) -> list[dict]:
     """Read every summary_*.json under a campaign output directory; raises
-    :class:`FrontFileError` naming the file when one is not valid JSON or
-    lacks a key that :func:`tabulate` reads."""
+    :class:`FrontFileError` naming the file when one is not valid JSON, or
+    lacks a key that :func:`tabulate` reads or holds a value of the wrong
+    type there (names must be strings, stats real numbers)."""
     directory = Path(directory)
     summaries = []
     for path in sorted(directory.glob("summary_*.json")):
@@ -250,8 +238,15 @@ def load_summaries(directory) -> list[dict]:
         except json.JSONDecodeError as exc:
             raise FrontFileError(f"{path}: not a valid summary: {exc}") from exc
         try:  # every key that tabulate and the table command read
-            [summary["algorithm"], summary["problem"]] + [summary["stats"][r] for r in STAT_ROWS]
+            names = {key: summary[key] for key in ("algorithm", "problem")}
+            stats = {row: summary["stats"][row] for row in STAT_ROWS}
         except (KeyError, TypeError) as exc:
             raise FrontFileError(f"{path}: not a valid summary: {exc!r}") from exc
+        # json.loads yields exact types, and a bool is neither int nor float here
+        bad = [key for key, v in names.items() if type(v) is not str] + [
+            f"stats[{row!r}]" for row, v in stats.items() if type(v) not in (int, float)
+        ]
+        if bad:
+            raise FrontFileError(f"{path}: not a valid summary: {bad[0]} has the wrong type")
         summaries.append(summary)
     return summaries

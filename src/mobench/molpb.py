@@ -8,8 +8,8 @@ pairs are drawn from the good half (internally and against main-population
 partners) and from the routed good members against the perfect bucket,
 borrowing from the bad half when the perfect one runs out. Offspring
 re-enter through an elitist merge with rank/crowding selection, and the
-non-dominated members of the merged set feed a bounded external archive
-whose contents are the reported front.
+offspring in the merged set's first front are offered, once, to a bounded
+external archive whose contents are the reported front.
 """
 
 from __future__ import annotations

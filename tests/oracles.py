@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: dominance is re-derived
 from scalar comparisons, the partition oracle re-counts dominators from
-scratch at every peeling level instead of bookkeeping, and the metric
-oracles are plain double loops.
+scratch at every peeling level instead of bookkeeping, the metric
+oracles are plain double loops, and the table parser reads the comparison
+CSV back with string splits.
 """
 
 from __future__ import annotations
@@ -149,3 +150,15 @@ def selection_oracle(points, k: int) -> list[int]:
         chosen += [front[j] for j in best[: k - len(chosen)]]
         break
     return chosen
+
+
+def parse_table_csv(text: str) -> dict[str, dict[str, float]]:
+    """Inverse of the CSV side of ``harness.tabulate``: {algorithm: {row: value}}."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    names = lines[0].split(",")[1:]
+    table: dict[str, dict[str, float]] = {n: {} for n in names}
+    for line in lines[1:]:
+        cells = line.split(",")
+        for name, cell in zip(names, cells[1:]):
+            table[name][cells[0]] = float(cell)
+    return table

@@ -49,6 +49,14 @@ class TestInsert:
         assert not arc.insert(sol(1, 2))
         assert np.array_equal(arc.objectives(), before)
 
+    def test_signed_zero_duplicate_in_one_batch(self):
+        # -0.0 <= 0.0 and 0.0 <= -0.0, so the second row matches the first
+        arc = ParetoArchive(capacity=10)
+        assert arc.insert([[0.0, 1.0], [-0.0, 1.0]]) == 1
+        assert len(arc) == 1
+        assert arc.insert([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [2.0, 2.0]]) == 2
+        assert len(arc) == 3
+
     def test_incomparable_candidates_accumulate(self):
         arc = ParetoArchive(capacity=10)
         for point in [(0, 3), (1, 2), (2, 1), (3, 0)]:
@@ -118,6 +126,10 @@ class TestInvariants:
         expected = {tuple(p) for p, keep in zip(points, mask) if keep}
         members = [tuple(row) for row in arc.objectives().tolist()]
         assert len(members) == len(expected) and set(members) == expected
+        # one batch offer keeps the same members in the same order
+        batch = ParetoArchive(capacity=len(points))
+        assert batch.insert(points) == len(members)
+        assert np.array_equal(batch.objectives(), arc.objectives())
 
     @settings(max_examples=300, deadline=None)
     @given(objective_rows(), st.data())
@@ -127,9 +139,12 @@ class TestInvariants:
         for p in points:
             arc.insert(p)
             assert len(arc) <= capacity
-        members = arc.objectives().tolist()
-        assert all(non_dominated_mask_python(members))
-        assert len(set(map(tuple, members))) == len(members)
+        batch = ParetoArchive(capacity)
+        batch.insert(points)
+        assert len(batch) <= capacity
+        for members in (arc.objectives().tolist(), batch.objectives().tolist()):
+            assert all(non_dominated_mask_python(members))
+            assert len(set(map(tuple, members))) == len(members)
 
     def test_rejection_monotonicity_audit(self):
         rng = np.random.default_rng(14)

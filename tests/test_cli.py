@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from mobench.cli import main
+from mobench.harness import STAT_ROWS
 from mobench.results import write_front_csv
 
 
@@ -90,15 +93,22 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
     ) == 0
     summary = tmp_path / "summary_nsga2_zdt1.json"
     text = summary.read_text()
+    valid = {"algorithm": "nsga2", "problem": "zdt1", "stats": dict.fromkeys(STAT_ROWS, 0.5)}
     for damaged, named in [
         (text[:40], "summary_nsga2_zdt1.json"),
         ('{"algorithm": "nsga2"}', "KeyError('problem')"),
         ('{"algorithm": "nsga2", "problem": "zdt1", "stats": {}}', "KeyError('Ave.GD')"),
+        (json.dumps({**valid, "stats": dict.fromkeys(STAT_ROWS, "x")}), "stats['Ave.GD'] has"),
+        (json.dumps({**valid, "stats": dict.fromkeys(STAT_ROWS, True)}), "stats['Ave.GD'] has"),
+        (json.dumps({**valid, "algorithm": 1}), "algorithm has the wrong type"),
+        (json.dumps({**valid, "problem": None}), "problem has the wrong type"),
     ]:
         summary.write_text(damaged)
         assert main(["table", "--in", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "summary_nsga2_zdt1.json" in err and named in err
+    summary.write_text(json.dumps(valid))  # each case above breaks one field of this one
+    assert main(["table", "--in", str(tmp_path)]) == 0
 
 
 def test_score_missing_front_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mobench.archive import ParetoArchive
 from mobench.dominance import non_dominated_sort
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
@@ -35,3 +36,36 @@ def test_population_is_stored_best_first(algorithm):
         ranks.append(non_dominated_sort(engine.F))
     assert all(np.all(np.diff(rank) >= 0) for rank in ranks)
     assert all(rank.max() > 0 for rank in ranks)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_one_archive_offer_per_generation_of_its_own_rows(algorithm, monkeypatch):
+    # each generation makes one insert call, and it offers only rows
+    # evaluated in that generation, so no point is offered twice
+    offers, evaluated = [], []
+    insert = ParetoArchive.insert
+
+    def recording_insert(self, F):
+        offers.append(np.array(F))
+        return insert(self, F)
+
+    monkeypatch.setattr(ParetoArchive, "insert", recording_insert)
+    engine_cls, config_cls = ENGINES[algorithm]
+    engine = engine_cls(config_cls(n_pop=20, seed=4), zdt("zdt1"))
+    evaluate = engine._evaluate
+
+    def recording_evaluate(rows):
+        X, F = evaluate(rows)
+        evaluated.append(F)
+        return X, F
+
+    engine._evaluate = recording_evaluate
+    offered_rows = 0
+    for advance in [engine.initialize] + [engine.step] * 15:
+        offers.clear()
+        advance()
+        assert len(offers) == 1
+        (offered,) = offers
+        assert set(map(tuple, offered.tolist())) <= set(map(tuple, evaluated[-1].tolist()))
+        offered_rows += len(offered)
+    assert offered_rows > 0

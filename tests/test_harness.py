@@ -8,13 +8,14 @@ from mobench.errors import FrontFileError, InvalidConfigError
 from mobench.harness import (
     CampaignConfig,
     load_summaries,
-    parse_table_csv,
     resolve_reference,
     run_campaign,
     tabulate,
 )
 from mobench.metrics import IndicatorReport, aggregate
 from mobench.results import RunResult, read_front_csv, write_front_csv
+
+from oracles import parse_table_csv
 
 
 class TestFrontCsv:
