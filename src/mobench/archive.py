@@ -2,21 +2,28 @@
 
 The archive stores the best front found across a run. One
 :meth:`ParetoArchive.insert` call offers a matrix of objective rows: the
-members, in their order, are stacked above the offered rows, every row
-that another row dominates or that an earlier row matches exactly is
-dropped, and overflow is then resolved by repeatedly dropping the member
-with the smallest finite crowding distance (recomputed after each
-removal) until the capacity holds. Members with infinite crowding
-(per-objective extremes) are only ever dropped when no finite-crowding
-member remains. Without truncation, one batch leaves the same members in
-the same order as offering its rows one at a time.
+members, in their order, are stacked above the offered rows, and every
+row that another row dominates (by :func:`dominance.compare`) or that an
+earlier row matches exactly is dropped. Without truncation, one batch
+leaves the same members in the same order as offering its rows one at a
+time. Overflow is then resolved by repeatedly dropping the member with
+the smallest finite crowding distance; extremes (infinite crowding) go
+only when no finite-crowding member remains. This is incremental and
+exact, not an approximation: a drop changes the crowding of at most 2m
+members, its neighbours in each objective's order (Kukkonen & Deb 2006),
+and no span changes while a finite-crowding member goes, so only those
+neighbours are recomputed, each from scratch and only when it comes up
+as the next candidate to drop.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
-from .dominance import crowding_distance
+from .dominance import compare, crowding_distance
 from .errors import InvalidConfigError
 
 
@@ -44,8 +51,7 @@ class ParetoArchive:
         """
         new = np.atleast_2d(np.asarray(F, dtype=float))
         F = np.concatenate([self._F, new]) if len(self) else new
-        le = (F[:, None, :] <= F[None, :, :]).all(axis=2)  # le[i, j]: row i no worse than row j
-        lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
+        le, lt = compare(F, F)  # le[i, j]: row i no worse than row j
         earlier = np.triu(np.ones_like(le), k=1)
         keep = ~(le & (lt | earlier)).any(axis=0)
         self._F = F[keep]
@@ -55,11 +61,40 @@ class ParetoArchive:
     def truncate(self) -> None:
         """Drop lowest-crowding members one at a time until within capacity."""
         while len(self) > self.capacity:
-            crowd = crowding_distance(self._F)
-            finite = np.isfinite(crowd)
-            if finite.any():
-                candidates = np.flatnonzero(finite)
-                drop = int(candidates[np.argmin(crowd[candidates])])
-            else:
-                drop = 0
-            self._F = np.delete(self._F, drop, axis=0)
+            self._F = self._F[_thin(self._F, self.capacity)]
+
+
+def _thin(F: np.ndarray, capacity: int) -> list[int]:
+    """Rows of ``F`` kept after dropping the smallest finite crowding (lowest
+    row on ties) one row at a time down to ``capacity``. With none finite it
+    drops the first row and stops: the spans change, so the caller restarts."""
+    n = len(F)
+    cols = F.T.tolist()
+    orders = np.argsort(F, axis=0, kind="stable").T.tolist()
+    links = [([-1] * n, [-1] * n) for _ in orders]  # each row's (prev, next) per objective
+    for (prev, nxt), order in zip(links, orders):
+        for a, b in zip(order, order[1:]):
+            nxt[a], prev[b] = b, a
+    spans = [col[order[-1]] - col[order[0]] for col, order in zip(cols, orders)]
+    terms = [(col, span, *link) for col, span, link in zip(cols, spans, links) if span > 0]
+    # (crowding, row) of the finite-crowding rows left; a drop only raises its
+    # neighbours' crowding, so a stale entry is a lower bound, renewed on top
+    heap = [(c, i) for i, c in enumerate(crowding_distance(F).tolist()) if c < math.inf]
+    heapq.heapify(heap)
+    alive, stale = [True] * n, [False] * n
+    for _ in range(n - capacity):
+        while heap and stale[heap[0][1]]:
+            i = heap[0][1]
+            stale[i], c = False, 0.0
+            for col, span, prev, nxt in terms:  # in objective order, as crowding_distance
+                c += (col[nxt[i]] - col[prev[i]]) / span
+            heapq.heapreplace(heap, (c, i))
+        if not heap:
+            alive[alive.index(True)] = False
+            break
+        drop = heapq.heappop(heap)[1]
+        alive[drop] = False
+        for prev, nxt in links:  # a finite-crowding row is interior in every objective
+            a, b = prev[drop], nxt[drop]
+            nxt[a], prev[b], stale[a], stale[b] = b, a, True, True
+    return [i for i in range(n) if alive[i]]

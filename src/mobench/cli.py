@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
-from .harness import ALGORITHMS, CampaignConfig, load_summaries, run_campaign, tabulate
+from .harness import ALGORITHMS, BUDGET_KEYS, CampaignConfig, load_summaries, run_campaign, tabulate
 from .metrics import score_front
 from .results import read_front_csv, write_atomic
 from .suite import get_problem, load_reference_csv, problem_names
@@ -104,6 +104,11 @@ def _cmd_table(args) -> int:
     by_problem: dict[str, list[dict]] = {}
     for summary in summaries:
         by_problem.setdefault(summary["problem"], []).append(summary)
+    for problem, group in sorted(by_problem.items()):
+        for key in BUDGET_KEYS:
+            if any(s[key] != group[0][key] for s in group):
+                values = ", ".join(f"{s['algorithm']}={s[key]!r}" for s in group)
+                raise InvalidConfigError(f"{problem}: summaries differ in {key} ({values})")
     for problem, group in sorted(by_problem.items()):
         group.sort(key=lambda s: s["algorithm"])
         text, csv_text = tabulate(group)

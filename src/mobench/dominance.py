@@ -1,8 +1,12 @@
 """Pareto dominance, fast non-dominated sorting, and crowding distance.
 
-Everything here minimizes. The sort uses the O(n_objectives * n^2)
-domination-count scheme and returns a rank array: ``rank[i]`` is the front
-number of row ``i``, so front 0 (the non-dominated set) is ``rank == 0``.
+Everything here minimizes. :func:`compare` is the one pairwise dominance
+kernel of the package (sort, archive, MOLPB filter, reference fronts). It
+is objective-major: one ``(n, n)`` pass per objective, no ``(n, n, m)``
+temporary. The sort uses the O(m * n^2) domination-count scheme and
+returns a rank array: ``rank[i]`` is the front number of row ``i``, so
+front 0 (the non-dominated set) is ``rank == 0``. Crowding distance is
+computed for all fronts at once, in one pass per objective.
 Selection needs only :func:`crowded_order`: the first ``k`` indices it
 returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
 while they fit, then the overflowing front by descending crowding).
@@ -15,6 +19,17 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def compare(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise comparison of objective rows: ``le[i, j]`` iff ``A[i]`` is no
+    worse than ``B[j]`` everywhere, ``lt[i, j]`` iff it is better somewhere."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    le, lt = np.ones((len(A), len(B)), dtype=bool), np.zeros((len(A), len(B)), dtype=bool)
+    for a, b in zip(A.T, np.ascontiguousarray(B.T)):
+        le &= a[:, None] <= b
+        lt |= a[:, None] < b
+    return le, lt
+
+
 def dominates(a, b) -> bool:
     """True iff objective vector ``a`` Pareto-dominates ``b``: no worse in
     every objective and strictly better in at least one."""
@@ -22,15 +37,12 @@ def dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise InvalidInputError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
+    return bool(np.logical_and(*compare(a.reshape(1, -1), b.reshape(1, -1))))
 
 
 def domination_matrix(points: np.ndarray) -> np.ndarray:
     """Boolean matrix D with D[i, j] true iff point i dominates point j."""
-    F = np.asarray(points, dtype=float)
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    return le & lt
+    return np.logical_and(*compare(points, points))
 
 
 def non_dominated_sort(points) -> np.ndarray:
@@ -53,6 +65,24 @@ def non_dominated_sort(points) -> np.ndarray:
     return rank
 
 
+def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row within its front, all fronts at once:
+    per objective, order the rows by front, value and index, give each
+    front's first and last row +inf, and add the neighbour gap over the
+    front's span to its interior rows when that span is positive."""
+    dist = np.zeros(len(F))
+    for col in F.T:
+        order = np.lexsort((col, rank))
+        col, r = col[order], rank[order]
+        first = np.r_[True, r[1:] != r[:-1]]
+        last = np.r_[first[1:], True]
+        span = (col[last] - col[first])[np.cumsum(first) - 1]
+        dist[order[first | last]] = np.inf
+        inner = np.flatnonzero(~(first | last) & (span > 0))
+        dist[order[inner]] += (col[inner + 1] - col[inner - 1]) / span[inner]
+    return dist
+
+
 def crowding_distance(front) -> np.ndarray:
     """NSGA-II crowding distance over one front of objective vectors.
 
@@ -63,19 +93,7 @@ def crowding_distance(front) -> np.ndarray:
     F = np.asarray(front, dtype=float)
     if F.ndim != 2 or F.shape[0] == 0:
         raise InvalidInputError("crowding_distance needs a non-empty front")
-    n, m = F.shape
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    for k in range(m):
-        order = np.argsort(F[:, k], kind="stable")
-        col = F[order, k]
-        span = col[-1] - col[0]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if span > 0:
-            dist[order[1:-1]] += (col[2:] - col[:-2]) / span
-    return dist
+    return _crowding(F, np.zeros(len(F), dtype=int))
 
 
 def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
@@ -83,11 +101,7 @@ def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
     within its front."""
     F = np.asarray(points, dtype=float)
     rank = non_dominated_sort(F)
-    crowd = np.empty(len(F))
-    for r in range(rank.max() + 1):
-        front = np.flatnonzero(rank == r)
-        crowd[front] = crowding_distance(F[front])
-    return rank, crowd
+    return rank, _crowding(F, rank)
 
 
 def crowded_order(rank, crowd) -> np.ndarray:

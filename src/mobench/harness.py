@@ -33,6 +33,9 @@ ENGINES = {"molpb": (MolpbEngine, MolpbConfig), "nsga2": (Nsga2Engine, Nsga2Conf
 
 ALGORITHMS = tuple(ENGINES)
 
+# Summary fields that fix a campaign's budget; one table compares equal budgets only.
+BUDGET_KEYS = ("generations", "population", "runs", "gd_p", "reference_source")
+
 STAT_ROWS = ("Ave.GD", "Ave.MS", "Ave.RGD", "Ave.S", "Std.GD", "Std.MS", "Std.RGD", "Std.S", "PT")
 
 _METRIC_BY_ROW = {"GD": "gd", "MS": "max_spread", "RGD": "rgd", "S": "spacing"}
@@ -228,8 +231,8 @@ def tabulate(summaries: Sequence[dict]) -> tuple[str, str]:
 def load_summaries(directory) -> list[dict]:
     """Read every summary_*.json under a campaign output directory; raises
     :class:`FrontFileError` naming the file when one is not valid JSON, or
-    lacks a key that :func:`tabulate` reads or holds a value of the wrong
-    type there (names must be strings, stats real numbers)."""
+    lacks a key that the table command reads (:data:`BUDGET_KEYS` too) or
+    holds a wrong type there (names must be strings, stats real numbers)."""
     directory = Path(directory)
     summaries = []
     for path in sorted(directory.glob("summary_*.json")):
@@ -248,5 +251,8 @@ def load_summaries(directory) -> list[dict]:
         ]
         if bad:
             raise FrontFileError(f"{path}: not a valid summary: {bad[0]} has the wrong type")
+        missing = [key for key in BUDGET_KEYS if key not in summary]
+        if missing:
+            raise FrontFileError(f"{path}: not a valid summary: no {missing[0]!r} field")
         summaries.append(summary)
     return summaries

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import crowded_order, rank_and_crowd
+from .dominance import compare, crowded_order, rank_and_crowd
 from .engine import Engine, EngineConfig
 from .errors import InvalidInputError, InvalidStateError
 from .operators import dp_split_size
@@ -58,9 +58,7 @@ def best_of_bad(F) -> int:
 
 def filter_main(F, best_bad) -> np.ndarray:
     """Indices of the main-population rows not dominated by ``best_bad``."""
-    F = np.asarray(F, dtype=float)
-    best_bad = np.asarray(best_bad, dtype=float)
-    dominated = (best_bad <= F).all(axis=1) & (best_bad < F).any(axis=1)
+    dominated = np.logical_and(*compare(np.reshape(best_bad, (1, -1)), F))[0]
     return np.flatnonzero(~dominated)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: dominance is re-derived
 from scalar comparisons, the partition oracle re-counts dominators from
-scratch at every peeling level instead of bookkeeping, the metric
+scratch at every peeling level instead of bookkeeping, crowding and
+archive truncation recompute every distance from scratch, the metric
 oracles are plain double loops, and the table parser reads the comparison
 CSV back with string splits.
 """
@@ -134,6 +135,28 @@ def crowding_oracle(front) -> list[float]:
                 if dist[i] != math.inf:
                     dist[i] += (pts[order[pos + 1]][k] - pts[order[pos - 1]][k]) / (hi - lo)
     return dist
+
+
+def rank_and_crowd_oracle(points) -> tuple[np.ndarray, np.ndarray]:
+    """Rank from the recount partition and crowding front by front from
+    the literal oracle: the per-front loop the one-pass crowding replaced."""
+    fronts = partition_recount(points)
+    crowd = np.empty(len(points))
+    for front in fronts:
+        crowd[front] = crowding_oracle([points[i] for i in front])
+    return rank_array(fronts), crowd
+
+
+def truncation_oracle(points, capacity: int) -> list[int]:
+    """Indices kept by iterative archive truncation: recompute every
+    crowding distance, drop the lowest finite one (the lower index on
+    ties), or the first row when none is finite, until ``capacity`` remain."""
+    kept = list(range(len(points)))
+    while len(kept) > capacity:
+        crowd = crowding_oracle([points[i] for i in kept])
+        finite = [j for j, c in enumerate(crowd) if math.isfinite(c)]
+        del kept[min(finite, key=crowd.__getitem__) if finite else 0]
+    return kept
 
 
 def selection_oracle(points, k: int) -> list[int]:

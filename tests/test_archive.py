@@ -1,11 +1,11 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobench.archive import ParetoArchive
 from mobench.dominance import dominates
 
-from oracles import non_dominated_mask_python
+from oracles import non_dominated_mask_python, truncation_oracle
 from strategies import objective_rows
 
 
@@ -170,3 +170,42 @@ class TestInvariants:
             # either the final archive still rules it out, or the recorded
             # witness did at rejection time
             assert still_beaten or dominates(witness, cf) or np.array_equal(witness, cf)
+
+
+@st.composite
+def truncation_cases(draw):
+    """An objective matrix of 1..4 columns on a coarse grid (ties and
+    repeated values), sometimes with a zero-span column, and a capacity
+    that is often 1 or 2, where every crowding distance is infinite."""
+    m = draw(st.integers(1, 4))
+    F = np.array(draw(objective_rows(m=m)))
+    if draw(st.booleans()):
+        F[:, draw(st.integers(0, m - 1))] = 1.0
+    capacity = draw(st.sampled_from([1, 2]) | st.integers(1, len(F)))
+    return F, capacity
+
+
+class TestIncrementalTruncation:
+    @settings(max_examples=400, deadline=None)
+    @given(truncation_cases())
+    # equal crowding reached by sums in different orders: the incremental
+    # update must add in objective order to round like the oracle
+    @example((np.array([[3, 3, 1], [1, 2, 1], [1, 3, 2], [0, 1, 3], [3, 2, 0], [1, 3, 3]], float), 4))
+    @example((np.array([[2, 3, 2], [0, 3, 3], [1, 0, 0], [2, 0, 1], [3, 0, 2], [0, 1, 0], [1, 0, 3]], float), 5))
+    def test_keeps_exactly_the_oracle_rows(self, case):
+        F, capacity = case
+        arc = ParetoArchive(capacity)
+        arc._F = F.copy()  # any matrix, dominated rows and duplicates included
+        arc.truncate()
+        assert arc.objectives().tobytes() == F[truncation_oracle(F.tolist(), capacity)].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(objective_rows(), st.data())
+    def test_batch_insert_truncates_like_the_oracle(self, points, data):
+        capacity = data.draw(st.integers(1, len(points)))
+        full = ParetoArchive(len(points))
+        full.insert(points)
+        arc = ParetoArchive(capacity)
+        arc.insert(points)
+        F = full.objectives()
+        assert arc.objectives().tobytes() == F[truncation_oracle(F.tolist(), capacity)].tobytes()

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from mobench.cli import main
-from mobench.harness import STAT_ROWS
+from mobench.harness import BUDGET_KEYS, STAT_ROWS
 from mobench.results import write_front_csv
+
+
+BUDGET = {"generations": 0, "population": 12, "runs": 1, "gd_p": 2, "reference_source": "analytic"}
 
 
 def test_problems_lists_registry(capsys):
@@ -93,7 +96,7 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
     ) == 0
     summary = tmp_path / "summary_nsga2_zdt1.json"
     text = summary.read_text()
-    valid = {"algorithm": "nsga2", "problem": "zdt1", "stats": dict.fromkeys(STAT_ROWS, 0.5)}
+    valid = {"algorithm": "nsga2", "problem": "zdt1", **BUDGET, "stats": dict.fromkeys(STAT_ROWS, 0.5)}
     for damaged, named in [
         (text[:40], "summary_nsga2_zdt1.json"),
         ('{"algorithm": "nsga2"}', "KeyError('problem')"),
@@ -137,3 +140,42 @@ def test_table_renders_and_writes_csv(tmp_path, capsys):
 
 def test_table_empty_dir_exits_2(tmp_path, capsys):
     assert main(["table", "--in", str(tmp_path)]) == 2
+
+
+def _write_summary(directory, algorithm, problem="zdt1", **fields):
+    summary = {"algorithm": algorithm, "problem": problem, **BUDGET, **fields}
+    summary["stats"] = dict.fromkeys(STAT_ROWS, 0.5)
+    (directory / f"summary_{algorithm}_{problem}.json").write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize(
+    "field, other", [("generations", 300), ("population", 100), ("runs", 30), ("gd_p", 1),
+                     ("reference_source", "merged-runs")]
+)
+def test_table_rejects_mixed_budgets(tmp_path, capsys, field, other):
+    _write_summary(tmp_path, "molpb")
+    _write_summary(tmp_path, "nsga2", **{field: other})
+    assert main(["table", "--in", str(tmp_path)]) == 2
+    assert f"differ in {field}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("table_*.csv"))
+
+
+def test_table_mixed_budget_in_another_problem_writes_nothing(tmp_path, capsys):
+    # a budget clash in one problem stops the command before any table is written
+    _write_summary(tmp_path, "molpb")
+    _write_summary(tmp_path, "molpb", "zdt2", generations=5)
+    _write_summary(tmp_path, "nsga2", "zdt2", generations=300)
+    assert main(["table", "--in", str(tmp_path)]) == 2
+    assert "zdt2: summaries differ in generations" in capsys.readouterr().err
+    assert not list(tmp_path.glob("table_*.csv"))
+
+
+@pytest.mark.parametrize("field", BUDGET_KEYS)
+def test_table_summary_without_budget_field_exits_3(tmp_path, capsys, field):
+    _write_summary(tmp_path, "molpb")
+    summary = json.loads((tmp_path / "summary_molpb_zdt1.json").read_text())
+    del summary[field]
+    (tmp_path / "summary_molpb_zdt1.json").write_text(json.dumps(summary))
+    assert main(["table", "--in", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "summary_molpb_zdt1.json" in err and repr(field) in err

@@ -9,6 +9,7 @@ from mobench.dominance import (
     crowded_order,
     crowding_distance,
     dominates,
+    domination_matrix,
     non_dominated_sort,
     rank_and_crowd,
 )
@@ -20,6 +21,7 @@ from oracles import (
     non_dominated_mask_python,
     partition_python,
     partition_recount,
+    rank_and_crowd_oracle,
     rank_array,
     selection_oracle,
 )
@@ -205,3 +207,28 @@ class TestRankProperties:
         for r in range(rank.max() + 1):
             k = int(np.count_nonzero(rank <= r))
             assert sorted(select(points, k).tolist()) == np.flatnonzero(rank <= r).tolist()
+
+
+@st.composite
+def signed_zero_rows(draw):
+    """Objective matrices of 1..4 columns whose cells include both signed
+    zeros, which compare equal."""
+    m = draw(st.integers(1, 4))
+    cells = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=20))
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_zero_rows())
+    def test_domination_matrix_matches_scalar_oracle(self, points):
+        want = [[dominates_scalar(a, b) for b in points] for a in points]
+        assert domination_matrix(points).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: objective_rows(m=m)))
+    def test_one_pass_crowding_matches_per_front_oracle(self, points):
+        rank, crowd = rank_and_crowd(points)
+        want_rank, want_crowd = rank_and_crowd_oracle(points)
+        assert np.array_equal(rank, want_rank)
+        assert crowd.tobytes() == want_crowd.tobytes()

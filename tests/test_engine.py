@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mobench import engine as engine_module
+from mobench import molpb
 from mobench.archive import ParetoArchive
 from mobench.dominance import non_dominated_sort
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
-from mobench.suite import coil_spring, zdt
+from mobench.suite import car_side_impact, coil_spring, zdt
+
+from oracles import rank_and_crowd_oracle, truncation_oracle
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -69,3 +75,44 @@ def test_one_archive_offer_per_generation_of_its_own_rows(algorithm, monkeypatch
         assert set(map(tuple, offered.tolist())) <= set(map(tuple, evaluated[-1].tolist()))
         offered_rows += len(offered)
     assert offered_rows > 0
+
+
+def on_grid(problem, step):
+    """The problem with its objectives rounded to multiples of ``step``, so
+    that equal objective values and exact crowding ties are common."""
+    return dataclasses.replace(
+        problem,
+        name=f"{problem.name}_grid",
+        objectives=lambda x: np.round(problem.objectives(x) / step) * step,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem", [zdt("zdt1"), car_side_impact(), on_grid(car_side_impact(), 0.1)], ids=lambda p: p.name
+)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monkeypatch):
+    # one-pass crowding and incremental truncation are exact: a run is
+    # byte-identical to one that ranks front by front and recomputes every
+    # crowding distance after each archive drop; the gridded problem makes
+    # the tie rule matter
+    engine_cls, config_cls = ENGINES[algorithm]
+
+    def run():
+        engine = engine_cls(config_cls(max_generations=40, seed=5), problem)
+        front = engine.run().front
+        return engine.X.tobytes(), engine.F.tobytes(), front.tobytes()
+
+    fast = run()
+    drops = []
+
+    def oracle_truncate(self):
+        kept = truncation_oracle(self._F.tolist(), self.capacity)
+        drops.append(len(self._F) - len(kept))
+        self._F = self._F[kept]
+
+    monkeypatch.setattr(ParetoArchive, "truncate", oracle_truncate)
+    monkeypatch.setattr(engine_module, "rank_and_crowd", rank_and_crowd_oracle)
+    monkeypatch.setattr(molpb, "rank_and_crowd", rank_and_crowd_oracle)
+    assert run() == fast
+    assert sum(drops) > 0
