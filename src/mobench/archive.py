@@ -3,17 +3,18 @@
 The archive stores the best front found across a run. One
 :meth:`ParetoArchive.insert` call offers a matrix of objective rows: the
 members, in their order, are stacked above the offered rows, and every
-row that another row dominates (by :func:`dominance.compare`) or that an
-earlier row matches exactly is dropped. Without truncation, one batch
-leaves the same members in the same order as offering its rows one at a
-time. Overflow is then resolved by repeatedly dropping the member with
-the smallest finite crowding distance; extremes (infinite crowding) go
-only when no finite-crowding member remains. This is incremental and
-exact, not an approximation: a drop changes the crowding of at most 2m
-members, its neighbours in each objective's order (Kukkonen & Deb 2006),
-and no span changes while a finite-crowding member goes, so only those
-neighbours are recomputed, each from scratch and only when it comes up
-as the next candidate to drop.
+row that :func:`dominance.non_dominated` rejects (another row dominates it
+or an earlier row matches it exactly) is dropped. An empty offer changes
+nothing. Without truncation, one batch leaves the same members in the
+same order as offering its rows one at a time. Overflow is then
+resolved by repeatedly dropping the member with the smallest finite
+crowding distance; extremes (infinite crowding) go only when no
+finite-crowding member remains. This is incremental and exact, not an
+approximation: a drop changes the crowding of at most 2m members, its
+neighbours in each objective's order (Kukkonen & Deb 2006), and no span
+changes while a finite-crowding member goes, so only those neighbours
+are recomputed, each from scratch and only when it comes up as the next
+candidate to drop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .dominance import compare, crowding_distance
+from .dominance import crowding_distance, non_dominated
 from .errors import InvalidConfigError
 
 
@@ -44,16 +45,17 @@ class ParetoArchive:
     def insert(self, F) -> int:
         """Offer objective rows (a single vector is one row) to the archive.
 
-        Returns how many offered rows became members, before truncation.
-        A row is rejected when any member or offered row dominates it, or
+        Returns how many offered rows became members, before truncation;
+        an empty offer returns 0 and leaves the members as they are. A row
+        is rejected when any member or offered row dominates it, or
         when an earlier one matches it exactly (duplicates corrupt spacing
         and crowding statistics).
         """
         new = np.atleast_2d(np.asarray(F, dtype=float))
+        if new.size == 0:
+            return 0
         F = np.concatenate([self._F, new]) if len(self) else new
-        le, lt = compare(F, F)  # le[i, j]: row i no worse than row j
-        earlier = np.triu(np.ones_like(le), k=1)
-        keep = ~(le & (lt | earlier)).any(axis=0)
+        keep = non_dominated(F)
         self._F = F[keep]
         self.truncate()
         return int(keep[len(F) - len(new):].sum())

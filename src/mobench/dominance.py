@@ -1,9 +1,14 @@
 """Pareto dominance, fast non-dominated sorting, and crowding distance.
 
-Everything here minimizes. :func:`compare` is the one pairwise dominance
-kernel of the package (sort, archive, MOLPB filter, reference fronts). It
-is objective-major: one ``(n, n)`` pass per objective, no ``(n, n, m)``
-temporary. The sort uses the O(m * n^2) domination-count scheme and
+Everything here minimizes. :func:`no_worse` is the one pairwise kernel of
+the package: ``le[i, j]`` iff ``A[i] <= B[j]`` in every objective, one
+``(n_a, n_b)`` pass per objective and no ``(n, n, m)`` temporary. Strict
+dominance needs no second pass: where ``A[i]`` is no worse than ``B[j]``,
+it is strictly better somewhere exactly when ``B[j]`` is not no worse
+than ``A[i]``, so within one set it is ``le & ~le.T``. :func:`non_dominated`
+is the one rule for keeping a non-dominated set (archive, reference
+fronts): a row goes when another row dominates it or an earlier row
+equals it. The sort uses the O(m * n^2) domination-count scheme and
 returns a rank array: ``rank[i]`` is the front number of row ``i``, so
 front 0 (the non-dominated set) is ``rank == 0``. Crowding distance is
 computed for all fronts at once, in one pass per objective.
@@ -19,15 +24,14 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def compare(A, B) -> tuple[np.ndarray, np.ndarray]:
+def no_worse(A, B) -> np.ndarray:
     """Pairwise comparison of objective rows: ``le[i, j]`` iff ``A[i]`` is no
-    worse than ``B[j]`` everywhere, ``lt[i, j]`` iff it is better somewhere."""
+    worse than ``B[j]`` in every objective."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    le, lt = np.ones((len(A), len(B)), dtype=bool), np.zeros((len(A), len(B)), dtype=bool)
+    le = np.ones((len(A), len(B)), dtype=bool)
     for a, b in zip(A.T, np.ascontiguousarray(B.T)):
         le &= a[:, None] <= b
-        lt |= a[:, None] < b
-    return le, lt
+    return le
 
 
 def dominates(a, b) -> bool:
@@ -37,12 +41,21 @@ def dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise InvalidInputError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.logical_and(*compare(a.reshape(1, -1), b.reshape(1, -1))))
+    return bool(domination_matrix(np.stack([a, b]).reshape(2, -1))[0, 1])
 
 
 def domination_matrix(points: np.ndarray) -> np.ndarray:
     """Boolean matrix D with D[i, j] true iff point i dominates point j."""
-    return np.logical_and(*compare(points, points))
+    le = no_worse(points, points)
+    return le & ~le.T
+
+
+def non_dominated(points) -> np.ndarray:
+    """Mask of the rows to keep as a non-dominated set: those that no row
+    dominates and no earlier row equals (``-0.0`` equals ``0.0``)."""
+    le = no_worse(points, points)
+    # row i drops row j when it is no worse and earlier (j > i) or dominates it
+    return ~(le & ~np.tril(le.T)).any(axis=0)
 
 
 def non_dominated_sort(points) -> np.ndarray:

@@ -99,6 +99,10 @@ class ProblemSpec:
                     )
             elif not lower[j] < upper[j]:
                 raise InvalidConfigError(f"variable {j}: lower bound must be < upper bound")
+            elif isinstance(kind, Integer) and (lower[j] != kind.lo or upper[j] != kind.hi):
+                raise InvalidConfigError(
+                    f"variable {j}: bounds must match the integer range [{kind.lo}, {kind.hi}]"
+                )
 
     @cached_property
     def _integer_indices(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dominance import domination_matrix
+from .dominance import non_dominated
 from .errors import InvalidInputError, UnsupportedProblemError
 from .problems import Continuous, Discrete, Integer, ProblemSpec
 from .results import read_front_csv
@@ -86,10 +86,12 @@ def _zdt6_obj(x: np.ndarray) -> np.ndarray:
     return np.stack([f1, g * (1.0 - (f1 / g) ** 2)], axis=-1)
 
 
+# name -> (objectives, n_vars, bounds of x2..xn); x1 is in [0, 1] for all
 _ZDT_TABLE: dict[str, tuple[Callable, int, float, float]] = {
     "zdt1": (_zdt1_obj, 30, 0.0, 1.0),
     "zdt2": (_zdt2_obj, 30, 0.0, 1.0),
     "zdt3": (_zdt3_obj, 30, 0.0, 1.0),
+    "zdt4": (_zdt4_obj, 10, -5.0, 5.0),
     "zdt6": (_zdt6_obj, 10, 0.0, 1.0),
 }
 
@@ -97,20 +99,6 @@ _ZDT_TABLE: dict[str, tuple[Callable, int, float, float]] = {
 def zdt(name: str) -> ProblemSpec:
     """Instantiate a ZDT benchmark by name (ZDT1-ZDT4, ZDT6)."""
     key = name.lower()
-    if key == "zdt4":
-        n = 10
-        lower = np.full(n, -5.0)
-        upper = np.full(n, 5.0)
-        lower[0], upper[0] = 0.0, 1.0
-        return ProblemSpec(
-            name="zdt4",
-            n_vars=n,
-            n_objectives=2,
-            lower=lower,
-            upper=upper,
-            kinds=tuple(Continuous() for _ in range(n)),
-            objectives=_zdt4_obj,
-        )
     if key not in _ZDT_TABLE:
         raise InvalidInputError(f"unknown ZDT problem {name!r}")
     obj, n, lo, hi = _ZDT_TABLE[key]
@@ -118,8 +106,8 @@ def zdt(name: str) -> ProblemSpec:
         name=key,
         n_vars=n,
         n_objectives=2,
-        lower=np.full(n, lo),
-        upper=np.full(n, hi),
+        lower=np.r_[0.0, np.full(n - 1, lo)],
+        upper=np.r_[1.0, np.full(n - 1, hi)],
         kinds=tuple(Continuous() for _ in range(n)),
         objectives=obj,
     )
@@ -395,24 +383,10 @@ class ReferenceFront:
 
 
 def _zdt6_f1_min() -> float:
-    # Peak of exp(-4x) * sin^6(6 pi x) on [0, 1]: dense grid, then a local
-    # ternary-search refinement around the best cell.
-    def h(x: float) -> float:
-        return math.exp(-4.0 * x) * math.sin(6.0 * math.pi * x) ** 6
-
-    grid = np.linspace(0.0, 1.0, 100001)
-    values = np.exp(-4.0 * grid) * np.sin(6.0 * math.pi * grid) ** 6
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if h(m1) < h(m2):
-            lo = m1
-        else:
-            hi = m2
-    return 1.0 - h(0.5 * (lo + hi))
+    # exp(-4x) * sin^6(6 pi x) peaks where tan(6 pi x) = 9 pi; the decay
+    # makes the first such x the highest peak on [0, 1]
+    x = math.atan(9.0 * math.pi) / (6.0 * math.pi)
+    return 1.0 - math.exp(-4.0 * x) * math.sin(6.0 * math.pi * x) ** 6
 
 
 def analytic_reference_front(name: str, n_points: int = 1000) -> ReferenceFront:
@@ -457,25 +431,26 @@ def merged_reference_front(fronts: Sequence[np.ndarray]) -> ReferenceFront:
     for f in arrays:
         if f.ndim != 2 or f.shape[1] != width:
             raise InvalidInputError("all fronts must share one objective dimensionality")
-    union = np.unique(np.vstack(arrays), axis=0)
-    dominated = domination_matrix(union).any(axis=0)
-    return ReferenceFront(points=union[~dominated], source="merged-runs")
+    union = np.unique(np.vstack(arrays), axis=0)  # sorted rows fix the cache's row order
+    return ReferenceFront(points=union[non_dominated(union)], source="merged-runs")
 
 
 def load_reference_csv(path) -> ReferenceFront:
-    """Load a reference front from CSV, dropping dominated rows.
+    """Load a reference front from CSV, dropping dominated and repeated rows.
 
-    Dominated rows are rejected with a warning that lists the offending
-    file line numbers (the header is line 1).
+    A row that another row dominates, or that repeats an earlier row, is
+    dropped with a warning that lists the offending file line numbers
+    (the header is line 1), so each reference point counts once in RGD.
     """
     F = read_front_csv(path)
-    dominated = domination_matrix(F).any(axis=0)
-    if dominated.any():
-        lines = [int(i) + 2 for i in np.flatnonzero(dominated)]
+    keep = non_dominated(F)
+    if not keep.all():
+        lines = [int(i) + 2 for i in np.flatnonzero(~keep)]
         warnings.warn(
-            f"{path}: dropped dominated reference rows at lines {lines}", stacklevel=2
+            f"{path}: dropped dominated or repeated reference rows at lines {lines}",
+            stacklevel=2,
         )
-        F = F[~dominated]
+        F = F[keep]
     return ReferenceFront(points=F, source="file")
 
 

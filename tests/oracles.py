@@ -37,6 +37,16 @@ def non_dominated_mask_python(points) -> list[bool]:
     return mask
 
 
+def distinct_non_dominated_python(points) -> list[bool]:
+    """Pure-python mask of the rows no row dominates and no earlier row
+    equals element by element (so -0.0 equals 0.0)."""
+    pts = [list(map(float, p)) for p in points]
+    return [
+        not any(dominates_scalar(b, a) for b in pts) and a not in pts[:i]
+        for i, a in enumerate(pts)
+    ]
+
+
 def partition_python(points) -> list[list[int]]:
     """Pure-python front partition by repeated peeling (small inputs only)."""
     remaining = list(range(len(points)))

@@ -49,6 +49,16 @@ class TestInsert:
         assert not arc.insert(sol(1, 2))
         assert np.array_equal(arc.objectives(), before)
 
+    def test_empty_offer_changes_nothing(self):
+        arc = ParetoArchive(capacity=10)
+        assert arc.insert([]) == 0
+        assert len(arc) == 0
+        arc.insert(sol(1, 2))
+        before = arc.objectives()
+        for empty in ([], np.empty((0, 2))):
+            assert arc.insert(empty) == 0
+            assert np.array_equal(arc.objectives(), before)
+
     def test_signed_zero_duplicate_in_one_batch(self):
         # -0.0 <= 0.0 and 0.0 <= -0.0, so the second row matches the first
         arc = ParetoArchive(capacity=10)

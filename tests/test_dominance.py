@@ -10,6 +10,7 @@ from mobench.dominance import (
     crowding_distance,
     dominates,
     domination_matrix,
+    non_dominated,
     non_dominated_sort,
     rank_and_crowd,
 )
@@ -18,6 +19,7 @@ from mobench.errors import InvalidInputError
 from oracles import (
     crowding_oracle,
     dominates_scalar,
+    distinct_non_dominated_python,
     non_dominated_mask_python,
     partition_python,
     partition_recount,
@@ -224,6 +226,12 @@ class TestKernelProperties:
     def test_domination_matrix_matches_scalar_oracle(self, points):
         want = [[dominates_scalar(a, b) for b in points] for a in points]
         assert domination_matrix(points).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_zero_rows())
+    def test_non_dominated_matches_scalar_oracle(self, points):
+        # repeated rows are common on this grid: only the first one stays
+        assert non_dominated(points).tolist() == distinct_non_dominated_python(points)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda m: objective_rows(m=m)))

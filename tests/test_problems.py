@@ -32,6 +32,19 @@ class TestVariableKinds:
         with pytest.raises(InvalidConfigError):
             Integer(5, 4)
 
+    def test_integer_bounds_must_match_its_range(self):
+        for lower, upper in [([0.0, 0.0], [1.0, 10.0]), ([0.0, 1.0], [1.0, 4.0])]:
+            with pytest.raises(InvalidConfigError, match=r"variable 1: .*integer range \[1, 3\]"):
+                ProblemSpec(
+                    name="bad-int",
+                    n_vars=2,
+                    n_objectives=2,
+                    lower=np.array(lower),
+                    upper=np.array(upper),
+                    kinds=(Continuous(), Integer(1, 3)),
+                    objectives=lambda x: x,
+                )
+
     def test_discrete_needs_ascending_values(self):
         with pytest.raises(InvalidConfigError):
             Discrete(())

@@ -35,13 +35,19 @@ def mutual_non_domination(points):
 
 class TestZdtDefinitions:
     def test_dimensions_and_bounds(self):
-        for name, n in [("zdt1", 30), ("zdt2", 30), ("zdt3", 30), ("zdt4", 10), ("zdt6", 10)]:
+        for name, n, lo, hi in [
+            ("zdt1", 30, 0.0, 1.0),
+            ("zdt2", 30, 0.0, 1.0),
+            ("zdt3", 30, 0.0, 1.0),
+            ("zdt4", 10, -5.0, 5.0),
+            ("zdt6", 10, 0.0, 1.0),
+        ]:
             spec = zdt(name)
             assert spec.n_vars == n
             assert spec.n_objectives == 2
-        z4 = zdt("zdt4")
-        assert z4.lower[0] == 0.0 and z4.upper[0] == 1.0
-        assert np.all(z4.lower[1:] == -5.0) and np.all(z4.upper[1:] == 5.0)
+            # x1 is in [0, 1] on every ZDT problem
+            assert spec.lower.tolist() == [0.0] + [lo] * (n - 1)
+            assert spec.upper.tolist() == [1.0] + [hi] * (n - 1)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -314,6 +320,13 @@ class TestReferenceCsvLoader:
         with pytest.warns(UserWarning, match=r"lines \[3, 5\]"):
             loaded = load_reference_csv(path)
         assert loaded.points.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_repeated_row_warned_and_dropped(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        write_front_csv(path, np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [0.5, 0.5]]))
+        with pytest.warns(UserWarning, match=r"dominated or repeated .* lines \[4\]"):
+            loaded = load_reference_csv(path)
+        assert loaded.points.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
 
 def test_registry_contents():
