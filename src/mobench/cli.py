@@ -3,13 +3,15 @@
 Subcommands: ``run`` executes a seeded campaign, ``problems`` lists the
 bundled problems, ``score`` rates one front CSV against a reference CSV,
 and ``table`` renders comparison tables from campaign summaries. Exit
-codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical error.
+codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical error,
+5 a campaign worker process died.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_WORKER = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,10 +77,10 @@ def _cmd_run(args) -> int:
         gd_p=args.gd_p,
     )
     summary = run_campaign(config)
-    print(f"{args.algo} on {args.problem}: {args.runs} runs, {args.generations} generations")
+    print(f"{args.algo} on {config.problem}: {args.runs} runs, {args.generations} generations")
     for row, value in summary["stats"].items():
         print(f"  {row:<8} {value:.6g}")
-    print(f"summary: {config.out_dir / f'summary_{args.algo}_{args.problem}.json'}")
+    print(f"summary: {config.out_dir / f'summary_{args.algo}_{config.problem}.json'}")
     return EXIT_OK
 
 
@@ -139,6 +142,9 @@ def main(argv=None) -> int:
     except (EvaluationError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenExecutor as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def console_main() -> None:

@@ -29,7 +29,13 @@ import numpy as np
 from .archive import ParetoArchive
 from .dominance import crowded_order, rank_and_crowd
 from .errors import InvalidConfigError
-from .operators import default_offspring_count, polynomial_mutation, sbx_crossover
+from .operators import (
+    DISTRIBUTION_INDEX,
+    MUTATION_PROB,
+    default_offspring_count,
+    polynomial_mutation,
+    sbx_crossover,
+)
 from .problems import ProblemSpec, decode, evaluate
 from .results import RunResult
 
@@ -37,14 +43,12 @@ from .results import RunResult
 @dataclass(frozen=True, kw_only=True)
 class EngineConfig:
     """Run parameters; the defaults are the standard benchmark settings
-    (population 100, 140 offspring, mutation 0.02, archive 100, 350
-    generations)."""
+    (population 100, 140 offspring, archive 100, 350 generations). The
+    variation settings are fixed: :data:`~mobench.operators.MUTATION_PROB`
+    and :data:`~mobench.operators.DISTRIBUTION_INDEX`."""
 
     n_pop: int = 100
     offspring_count: Optional[int] = None
-    mutation_prob: float = 0.02
-    sbx_eta: float = 20.0
-    pm_eta: float = 20.0
     archive_capacity: int = 100
     max_generations: int = 350
     seed: int = 0
@@ -58,10 +62,6 @@ class EngineConfig:
             object.__setattr__(self, "offspring_count", default_offspring_count(self.n_pop))
         if self.offspring_count < 2 or self.offspring_count % 2 != 0:
             raise InvalidConfigError("offspring_count must be even and >= 2")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise InvalidConfigError("mutation_prob must lie in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise InvalidConfigError("distribution indices must be positive")
 
 
 class Engine:
@@ -79,7 +79,6 @@ class Engine:
         self.F = np.empty((0, problem.n_objectives))
         self.evaluations = 0
         self.generation = 0
-        self.front_size_trace: list[int] = []
 
     def mating(self) -> tuple[np.ndarray, np.ndarray]:
         """Row indices ``(a, b)`` of the parents of the current generation,
@@ -104,7 +103,6 @@ class Engine:
         keep = crowded_order(rank, crowd)[: self.config.n_pop]
         self.X, self.F = X[keep], F[keep]
         self.archive.insert(F[n:][rank[n:] == 0])
-        self.front_size_trace.append(len(self.archive))
 
     def initialize(self) -> None:
         """Uniform random population; the archive starts from its
@@ -115,26 +113,16 @@ class Engine:
 
     def step(self) -> None:
         """One generation: mating, variation, elitist merge, archive update."""
-        cfg, p = self.config, self.problem
+        p = self.problem
         a, b = self.mating()
-        c1, c2 = sbx_crossover(self.X[a], self.X[b], p.lower, p.upper, cfg.sbx_eta, self.rng)
+        c1, c2 = sbx_crossover(
+            self.X[a], self.X[b], p.lower, p.upper, DISTRIBUTION_INDEX, self.rng
+        )
         children = polynomial_mutation(
-            np.concatenate([c1, c2]), p.lower, p.upper, cfg.mutation_prob, cfg.pm_eta, self.rng
+            np.concatenate([c1, c2]), p.lower, p.upper, MUTATION_PROB, DISTRIBUTION_INDEX, self.rng
         )
         self.generation += 1
         self._merge(*self._evaluate(children))
-
-    def result(self, wall_ms: float) -> RunResult:
-        return RunResult(
-            algorithm=self.algorithm,
-            problem=self.problem.name,
-            seed=self.config.seed,
-            generations=self.generation,
-            evaluations=self.evaluations,
-            wall_ms=wall_ms,
-            front=self.archive.objectives(),
-            front_size_trace=list(self.front_size_trace),
-        )
 
     def run(self) -> RunResult:
         """Initialize, then step ``max_generations`` times."""
@@ -142,4 +130,12 @@ class Engine:
         self.initialize()
         for _ in range(self.config.max_generations):
             self.step()
-        return self.result((time.perf_counter() - start) * 1000.0)
+        return RunResult(
+            algorithm=self.algorithm,
+            problem=self.problem.name,
+            seed=self.config.seed,
+            generations=self.generation,
+            evaluations=self.evaluations,
+            wall_ms=(time.perf_counter() - start) * 1000.0,
+            front=self.archive.objectives(),
+        )

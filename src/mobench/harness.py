@@ -1,10 +1,10 @@
 """Seeded multi-run campaigns over (algorithm x problem) with summaries.
 
 A campaign runs N independent seeded executions (seed = base_seed + run
-index), writes each final front as CSV and each run as JSON, scores every
-run against a resolved reference front, and aggregates the four quality
-indicators into a summary shaped like a comparison-table column (Ave./Std.
-per metric plus total wall time).
+index), writes each final front as CSV and each run as JSON as soon as
+that run is done, scores every run against a resolved reference front,
+and aggregates the four quality indicators into a summary shaped like a
+comparison-table column (Ave./Std. per metric plus total wall time).
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import FrontFileError, InvalidConfigError
 from .metrics import IndicatorReport, aggregate, score_front
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
-from .results import write_atomic, write_front_csv
+from .results import RunResult, write_atomic, write_front_csv
 from .suite import (
     ReferenceFront,
     analytic_reference_front,
@@ -32,6 +33,8 @@ from .suite import (
 ENGINES = {"molpb": (MolpbEngine, MolpbConfig), "nsga2": (Nsga2Engine, Nsga2Config)}
 
 ALGORITHMS = tuple(ENGINES)
+
+BUILDER_POPULATION = 100  # population and archive of the merged-reference runs
 
 # Summary fields that fix a campaign's budget; one table compares equal budgets only.
 BUDGET_KEYS = ("generations", "population", "runs", "gd_p", "reference_source")
@@ -65,28 +68,26 @@ class CampaignConfig:
             raise InvalidConfigError("jobs must be >= 1")
         if self.gd_p not in (1, 2):
             raise InvalidConfigError("gd_p must be 1 or 2")
+        # the registry key (lower case), so one problem has one summary name
+        object.__setattr__(self, "problem", get_problem(self.problem).name)
         # the engine's own checks, before any reference build starts
-        ENGINES[self.algorithm][1](
-            n_pop=self.population,
-            archive_capacity=self.population,
-            max_generations=self.generations,
-        )
+        engine_config(self.algorithm, self.population, self.generations)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.reference_path is not None:
             object.__setattr__(self, "reference_path", Path(self.reference_path))
 
 
+def engine_config(algorithm: str, population: int, generations: int, seed: int = 0):
+    """The engine config of a campaign or reference-builder run; the
+    archive holds as many members as the population."""
+    return ENGINES[algorithm][1](
+        n_pop=population, archive_capacity=population, max_generations=generations, seed=seed
+    )
+
+
 def _execute_run(algorithm: str, problem_name: str, population: int, generations: int, seed: int):
-    engine, config = ENGINES[algorithm]
-    return engine(
-        config(
-            n_pop=population,
-            archive_capacity=population,
-            max_generations=generations,
-            seed=seed,
-        ),
-        get_problem(problem_name),
-    ).run()
+    config = engine_config(algorithm, population, generations, seed)
+    return ENGINES[algorithm][0](config, get_problem(problem_name)).run()
 
 
 def resolve_reference(
@@ -95,17 +96,17 @@ def resolve_reference(
     cache_dir=None,
     builder_runs: int = 20,
     builder_generations: int = 1000,
-    builder_population: int = 100,
 ) -> ReferenceFront:
     """Pick the reference front for a problem.
 
     An explicit CSV path wins; ZDT problems fall back to their analytic
     fronts (1000 points); engineering problems fall back to a merged front
-    built from long runs of both algorithms with seeds 0, 1, ... That
-    front is cached in ``cache_dir`` under a name that records the
-    builder's runs, generations, population and first seed, so later calls
-    with the same budget reload it and calls with another budget build
-    their own. The cache is written atomically, so an interrupted build
+    built from long runs of both algorithms with seeds 0, 1, ... at
+    population :data:`BUILDER_POPULATION`. That front is cached in
+    ``cache_dir`` under a name that records the builder's runs,
+    generations, population and first seed, so later calls with the same
+    budget reload it and calls with another budget build their own. The
+    cache is written atomically, so an interrupted build
     never leaves a truncated cache that later calls would trust.
     """
     if path is not None:
@@ -119,7 +120,7 @@ def resolve_reference(
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / (
         f"reference_{problem_name.lower()}_r{builder_runs}_g{builder_generations}"
-        f"_p{builder_population}_s0.csv"
+        f"_p{BUILDER_POPULATION}_s0.csv"
     )
     if cache_file.exists():
         loaded = load_reference_csv(cache_file)
@@ -128,7 +129,7 @@ def resolve_reference(
     for algorithm in ALGORITHMS:
         for r in range(builder_runs):
             result = _execute_run(
-                algorithm, problem_name, builder_population, builder_generations, r
+                algorithm, problem_name, BUILDER_POPULATION, builder_generations, r
             )
             if result.front.size:
                 fronts.append(result.front)
@@ -151,32 +152,35 @@ def _stats_block(reports: Sequence[IndicatorReport], total_wall_ms: float) -> di
     return block
 
 
+def _campaign_runs(config: CampaignConfig) -> Iterator[RunResult]:
+    """The run results in seed order, each once it and all earlier seeds are done."""
+    seeds = range(config.base_seed, config.base_seed + config.runs)
+    run = partial(
+        _execute_run, config.algorithm, config.problem, config.population, config.generations
+    )
+    if config.jobs == 1 or config.runs == 1:
+        yield from map(run, seeds)
+        return
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        yield from pool.map(run, seeds)
+
+
 def run_campaign(config: CampaignConfig) -> dict:
     """Execute a campaign and write fronts, run JSONs, and the summary.
 
+    Each run's front CSV and JSON are written as the run arrives, so a
+    campaign that fails (say, a pool worker dies) keeps the runs before it.
     Returns the summary dict (also written to
     summary_<algorithm>_<problem>.json in the output directory).
     """
-    get_problem(config.problem)  # fail fast on unknown problems
     reference = resolve_reference(
         config.problem, path=config.reference_path, cache_dir=config.out_dir
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = [config.base_seed + r for r in range(config.runs)]
-    args = [
-        (config.algorithm, config.problem, config.population, config.generations, seed)
-        for seed in seeds
-    ]
-    if config.jobs == 1 or config.runs == 1:
-        results = [_execute_run(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_execute_run, *zip(*args)))
-
     reports = []
     per_run = []
-    for result in results:
+    for result in _campaign_runs(config):
         stem = f"{config.algorithm}_{config.problem}_{result.seed}"
         write_front_csv(config.out_dir / f"front_{stem}.csv", result.front)
         result.write_json(config.out_dir / f"result_{stem}.json")
@@ -195,7 +199,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         "population": config.population,
         "gd_p": config.gd_p,
         "reference_source": reference.source,
-        "stats": _stats_block(reports, sum(r.wall_ms for r in results)),
+        "stats": _stats_block(reports, sum(run["wall_ms"] for run in per_run)),
         "per_run": per_run,
     }
     summary_path = config.out_dir / f"summary_{config.algorithm}_{config.problem}.json"

@@ -53,7 +53,9 @@ def _min_euclidean(front: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def gd(front, reference, p: int = 2) -> float:
-    """Generational distance from the obtained front to the reference set."""
+    """Generational distance from the obtained front to the reference set (p = 1 or 2)."""
+    if p not in (1, 2):
+        raise InvalidInputError(f"GD exponent p must be 1 or 2, got {p!r}")
     F = _as_front(front, "front")
     R = _as_front(reference, "reference")
     if F.shape[1] != R.shape[1]:

@@ -1,7 +1,7 @@
 """MOLPB: the multiobjective learner performance-based behavior algorithm.
 
-Each generation a dp-sized group is separated from the population and
-split into good/bad halves by crowded dominance ranking. The best of the
+Each generation a group of :data:`DP` (60%) of the population is separated
+and split into good/bad halves by crowded dominance ranking. The best of the
 bad half prunes the main population, whose remaining members are routed
 into perfect / good / bad buckets relative to the pivot solutions. Parent
 pairs are drawn from the good half (internally and against main-population
@@ -23,16 +23,16 @@ from .engine import Engine, EngineConfig
 from .errors import InvalidInputError, InvalidStateError
 from .operators import dp_split_size
 
+DP = 0.6  # fraction of the population separated each generation
+
 
 @dataclass(frozen=True, kw_only=True)
 class MolpbConfig(EngineConfig):
-    """Engine settings plus the separated fraction ``dp`` (default 0.6)."""
-
-    dp: float = 0.6
+    """Engine settings; MOLPB needs ``n_pop >= 4``."""
 
     def __post_init__(self):
         super().__post_init__()
-        dp_split_size(self.n_pop, self.dp)  # validates dp and n_pop >= 4
+        dp_split_size(self.n_pop, DP)  # validates n_pop >= 4
 
 
 def split_good_bad(F) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +104,7 @@ class MolpbEngine(Engine):
         runs out."""
         cfg, F = self.config, self.F
         perm = self.rng.permutation(cfg.n_pop)
-        split = dp_split_size(cfg.n_pop, cfg.dp)
+        split = dp_split_size(cfg.n_pop, DP)
         separated, main = perm[:split], perm[split:]
         good_rows, bad_rows = split_good_bad(F[separated])
         good, bad = separated[good_rows], separated[bad_rows]

@@ -5,7 +5,7 @@ both algorithms so that comparisons isolate the algorithmic logic rather
 than operator choices. Both work on whole parent matrices, one pair or
 one child per row, with one draw of uniforms per call (a single vector
 is one row). All operators take an explicit numpy Generator and are pure
-given it.
+given it. The engines run them at the paper's fixed settings below.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import math
 import numpy as np
 
 from .errors import InvalidConfigError
+
+MUTATION_PROB = 0.02  # per-coordinate polynomial mutation probability
+DISTRIBUTION_INDEX = 20.0  # eta of both SBX and polynomial mutation
 
 
 def default_offspring_count(n_pop: int) -> int:
@@ -28,8 +31,6 @@ def dp_split_size(n_pop: int, dp: float) -> int:
     Half-up rounding of n_pop*dp, clamped to [2, n_pop] so the group can
     always be halved.
     """
-    if not 0.1 <= dp <= 0.9:
-        raise InvalidConfigError(f"dp must lie in [0.1, 0.9], got {dp}")
     if n_pop < 4:
         raise InvalidConfigError(f"population size must be >= 4, got {n_pop}")
     size = int(math.floor(n_pop * dp + 0.5))

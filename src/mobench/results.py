@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,21 +28,10 @@ class RunResult:
     evaluations: int
     wall_ms: float
     front: np.ndarray
-    front_size_trace: list[int] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "problem": self.problem,
-            "seed": self.seed,
-            "generations": self.generations,
-            "evaluations": self.evaluations,
-            "wall_ms": self.wall_ms,
-            "front": [[float(v) for v in row] for row in np.asarray(self.front)],
-        }
 
     def write_json(self, path) -> None:
-        write_atomic(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        record = {**vars(self), "front": np.asarray(self.front, dtype=float).tolist()}
+        write_atomic(path, json.dumps(record, indent=2) + "\n")
 
 
 def write_atomic(path, text: str) -> None:

@@ -1,11 +1,28 @@
 import json
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mobench import harness
 from mobench.cli import main
 from mobench.harness import BUDGET_KEYS, STAT_ROWS
 from mobench.results import write_front_csv
+
+_execute_run = harness._execute_run
+
+
+def _run_or_die(algorithm, problem, population, generations, seed):
+    """A campaign run that kills its worker process on seed 2, once seed 1's
+    front is in ``out/`` under the working directory (waiting up to 60 s)."""
+    if seed == 2:
+        deadline = time.monotonic() + 60.0
+        while not Path("out", "front_nsga2_zdt1_1.csv").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+    return _execute_run(algorithm, problem, population, generations, seed)
 
 
 BUDGET = {"generations": 0, "population": 12, "runs": 1, "gd_p": 2, "reference_source": "analytic"}
@@ -39,6 +56,22 @@ def test_run_unknown_problem_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_run_crashed_worker_exits_5_and_keeps_finished_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_execute_run", _run_or_die)
+    code = main(
+        [
+            "run", "--algo", "nsga2", "--problem", "zdt1", "--runs", "2", "--jobs", "2",
+            "--generations", "1", "--pop", "12", "--out", "out",
+        ]
+    )
+    assert code == 5
+    assert "worker process died" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "front_nsga2_zdt1_1.csv", "result_nsga2_zdt1_1.json"
+    ]
 
 
 def test_run_unreadable_reference_exits_3(tmp_path, capsys):
@@ -157,6 +190,20 @@ def test_table_rejects_mixed_budgets(tmp_path, capsys, field, other):
     _write_summary(tmp_path, "nsga2", **{field: other})
     assert main(["table", "--in", str(tmp_path)]) == 2
     assert f"differ in {field}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("table_*.csv"))
+
+
+def test_table_checks_budget_across_problem_name_case(tmp_path, capsys):
+    # ZDT1 and zdt1 are one problem: one summary name, one budget check
+    common = ["--runs", "1", "--pop", "12", "--out", str(tmp_path)]
+    assert main(["run", "--algo", "molpb", "--problem", "ZDT1", "--generations", "2", *common]) == 0
+    assert main(["run", "--algo", "nsga2", "--problem", "zdt1", "--generations", "3", *common]) == 0
+    assert sorted(p.name for p in tmp_path.glob("summary_*.json")) == [
+        "summary_molpb_zdt1.json", "summary_nsga2_zdt1.json"
+    ]
+    capsys.readouterr()
+    assert main(["table", "--in", str(tmp_path)]) == 2
+    assert "zdt1: summaries differ in generations" in capsys.readouterr().err
     assert not list(tmp_path.glob("table_*.csv"))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mobench import harness, results
-from mobench.errors import FrontFileError, InvalidConfigError
+from mobench.errors import FrontFileError, InvalidConfigError, InvalidInputError
 from mobench.harness import (
     CampaignConfig,
     load_summaries,
@@ -87,6 +87,14 @@ class TestCampaignConfig:
         with pytest.raises(InvalidConfigError):
             CampaignConfig(algorithm="spea", problem="zdt1", out_dir=tmp_path)
 
+    def test_problem_stored_as_registry_key(self, tmp_path):
+        config = CampaignConfig(algorithm="molpb", problem="ZDT1", out_dir=tmp_path)
+        assert config.problem == "zdt1"
+
+    def test_rejects_unknown_problem(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="unknown problem"):
+            CampaignConfig(algorithm="molpb", problem="zdt9", out_dir=tmp_path)
+
     def test_rejects_zero_runs(self, tmp_path):
         with pytest.raises(InvalidConfigError):
             CampaignConfig(algorithm="molpb", problem="zdt1", out_dir=tmp_path, runs=0)
@@ -118,14 +126,9 @@ class TestResolveReference:
         assert len(ref.points) == 2
 
     def test_engineering_front_is_built_and_cached(self, tmp_path):
-        kwargs = dict(
-            cache_dir=tmp_path,
-            builder_runs=1,
-            builder_generations=4,
-            builder_population=12,
-        )
+        kwargs = dict(cache_dir=tmp_path, builder_runs=1, builder_generations=4)
         ref1 = resolve_reference("four_bar_truss", **kwargs)
-        cache = tmp_path / "reference_four_bar_truss_r1_g4_p12_s0.csv"
+        cache = tmp_path / "reference_four_bar_truss_r1_g4_p100_s0.csv"
         assert cache.exists()
         assert ref1.source == "merged-runs"
         stamp = cache.stat().st_mtime_ns
@@ -142,7 +145,7 @@ class TestResolveReference:
 
         execute_run = harness._execute_run
         monkeypatch.setattr(harness, "_execute_run", counting)
-        small = dict(builder_runs=1, builder_generations=3, builder_population=12)
+        small = dict(builder_runs=1, builder_generations=3)
         resolve_reference("four_bar_truss", cache_dir=tmp_path, **small)
         assert len(builds) == 2  # one run per algorithm
         resolve_reference("four_bar_truss", cache_dir=tmp_path, **small)
@@ -152,8 +155,8 @@ class TestResolveReference:
         )
         assert len(builds) == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "reference_four_bar_truss_r1_g3_p12_s0.csv",
-            "reference_four_bar_truss_r1_g5_p12_s0.csv",
+            "reference_four_bar_truss_r1_g3_p100_s0.csv",
+            "reference_four_bar_truss_r1_g5_p100_s0.csv",
         ]
 
     def test_engineering_without_cache_dir_rejected(self):

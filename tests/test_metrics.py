@@ -30,6 +30,13 @@ class TestGd:
         with pytest.raises(InvalidInputError):
             gd([(0, 1)], [(0, 0, 0)])
 
+    @pytest.mark.parametrize("p", [0, 3, -1, 2.5])
+    def test_exponents_other_than_1_or_2_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="exponent"):
+            gd([(0, 1)], [(0, 0)], p=p)
+        with pytest.raises(InvalidInputError, match="exponent"):
+            rgd([(0, 1)], [(0, 0)], p=p)
+
     def test_adding_a_reference_point_never_hurts(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

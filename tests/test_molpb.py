@@ -1,12 +1,15 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from mobench import molpb
 from mobench.dominance import dominates
-from mobench.errors import InvalidConfigError, InvalidInputError, InvalidStateError
+from mobench.errors import InvalidInputError, InvalidStateError
 from mobench.metrics import gd
 from mobench.molpb import (
+    DP,
     MolpbConfig,
     MolpbEngine,
     best_of_bad,
@@ -14,6 +17,7 @@ from mobench.molpb import (
     route_main,
     split_good_bad,
 )
+from mobench.operators import DISTRIBUTION_INDEX, MUTATION_PROB
 from mobench.suite import analytic_reference_front, coil_spring, zdt
 
 from oracles import non_dominated_mask_python
@@ -35,18 +39,13 @@ class TestConfig:
     def test_table_defaults(self):
         cfg = MolpbConfig()
         assert cfg.n_pop == 100
-        assert cfg.dp == 0.6
         assert cfg.offspring_count == 140
-        assert cfg.mutation_prob == 0.02
         assert cfg.archive_capacity == 100
         assert cfg.max_generations == 350
+        assert (DP, MUTATION_PROB, DISTRIBUTION_INDEX) == (0.6, 0.02, 20.0)
 
     def test_offspring_follows_population(self):
         assert MolpbConfig(n_pop=50).offspring_count == 70
-
-    def test_bad_dp_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            MolpbConfig(dp=0.95)
 
 
 class TestSplitGoodBad:
@@ -217,22 +216,28 @@ class TestEngine:
 
     def test_run_is_bitwise_reproducible(self):
         cfg = MolpbConfig(n_pop=20, seed=7, max_generations=8)
-        r1 = run(cfg, zdt("zdt1"))
-        r2 = run(cfg, zdt("zdt1"))
+        e1, e2 = MolpbEngine(cfg, zdt("zdt1")), MolpbEngine(cfg, zdt("zdt1"))
+        r1, r2 = e1.run(), e2.run()
         assert np.array_equal(r1.front, r2.front)
+        assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.F, e2.F)
         assert r1.evaluations == r2.evaluations
-        assert r1.front_size_trace == r2.front_size_trace
 
-    def test_traces_cover_every_generation(self):
-        cfg = MolpbConfig(n_pop=20, seed=8, max_generations=6)
-        result = run(cfg, zdt("zdt1"))
-        assert len(result.front_size_trace) == 7  # initial state + 6 generations
-
-    def test_tiny_population_edge_case(self):
-        # dp=0.9 on n_pop=4 separates everyone; the main population is empty
-        cfg = MolpbConfig(n_pop=4, dp=0.9, offspring_count=4, seed=9, max_generations=3)
-        result = run(cfg, zdt("zdt1"))
-        assert result.evaluations == 4 + 3 * 4
+    def test_tiny_population_edge_case(self, monkeypatch):
+        # n_pop=7 separates 4 (good half 2, bad half 2) and leaves a main
+        # part of 3; when the best of the bad half dominates all of it, the
+        # good half's second part mates with bad-half partners instead
+        monkeypatch.setattr(molpb, "filter_main", lambda F, best: np.array([], dtype=int))
+        cfg = MolpbConfig(n_pop=7, offspring_count=4, seed=9, max_generations=3)
+        engine = MolpbEngine(cfg, zdt("zdt1"))
+        engine.initialize()
+        separated = copy.deepcopy(engine.rng).permutation(7)[:4]
+        a, b = engine.mating()
+        assert len(a) == len(b) == 2
+        assert set(a) < set(separated)  # the two good members
+        assert b[1] in set(separated) - set(a)  # a bad-half partner
+        for _ in range(3):
+            engine.step()
+        assert engine.evaluations == 7 + 3 * 4
 
     def test_archive_gd_mostly_non_increasing(self):
         # over a full-length seeded run the elitist archive only loses

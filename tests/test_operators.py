@@ -15,17 +15,13 @@ class TestVariationConfig:
     """The operator settings of the engine config."""
 
     def test_accepts_table_defaults(self):
-        EngineConfig(offspring_count=140, mutation_prob=0.02)
+        EngineConfig(offspring_count=140)
 
     def test_rejects_odd_or_tiny_offspring(self):
         with pytest.raises(InvalidConfigError):
-            EngineConfig(offspring_count=3, mutation_prob=0.02)
+            EngineConfig(offspring_count=3)
         with pytest.raises(InvalidConfigError):
-            EngineConfig(offspring_count=0, mutation_prob=0.02)
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(InvalidConfigError):
-            EngineConfig(offspring_count=4, mutation_prob=1.5)
+            EngineConfig(offspring_count=0)
 
     def test_default_offspring_count(self):
         assert default_offspring_count(100) == 140
@@ -44,11 +40,6 @@ class TestDpSplitSize:
 
     def test_floor_of_two(self):
         assert dp_split_size(4, 0.1) == 2
-
-    def test_dp_out_of_range_rejected(self):
-        for dp in (0.05, 0.91, -1.0, 2.0):
-            with pytest.raises(InvalidConfigError):
-                dp_split_size(100, dp)
 
 
 class _MidpointRng:

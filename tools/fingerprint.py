@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mobench.harness import ENGINES  # noqa: E402
+from mobench.harness import ENGINES, engine_config  # noqa: E402
 from mobench.suite import get_problem, problem_names  # noqa: E402
 
 RUNS = [
@@ -37,9 +37,8 @@ RUNS = [
 
 
 def run_digest(algorithm: str, problem: str, seed: int, generations: int) -> str:
-    engine_cls, config_cls = ENGINES[algorithm]
-    config = config_cls(n_pop=100, archive_capacity=100, max_generations=generations, seed=seed)
-    engine = engine_cls(config, get_problem(problem))
+    config = engine_config(algorithm, 100, generations, seed)
+    engine = ENGINES[algorithm][0](config, get_problem(problem))
     engine.run()
     digest = hashlib.sha256()
     for array in (engine.archive.objectives(), engine.X, engine.F):
