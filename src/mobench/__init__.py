@@ -19,7 +19,7 @@ from .errors import (
     InvalidStateError,
     UnsupportedProblemError,
 )
-from .metrics import EnsembleStats, IndicatorReport, aggregate, gd, max_spread, rgd, spacing
+from .metrics import IndicatorReport, gd, max_spread, rgd, spacing
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
 from .problems import Continuous, Discrete, Integer, ProblemSpec, decode, evaluate
@@ -45,9 +45,7 @@ __all__ = [
     "InvalidInputError",
     "InvalidStateError",
     "UnsupportedProblemError",
-    "EnsembleStats",
     "IndicatorReport",
-    "aggregate",
     "gd",
     "max_spread",
     "rgd",

@@ -4,7 +4,7 @@ Subcommands: ``run`` executes a seeded campaign, ``problems`` lists the
 bundled problems, ``score`` rates one front CSV against a reference CSV,
 and ``table`` renders comparison tables from campaign summaries. Exit
 codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical error,
-5 a campaign worker process died.
+5 a worker process of a campaign or a reference build died.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
-from .harness import ALGORITHMS, BUDGET_KEYS, CampaignConfig, load_summaries, run_campaign, tabulate
+from .harness import ALGORITHMS, CampaignConfig, load_summaries, run_campaign, tabulate
 from .metrics import score_front
 from .results import read_front_csv, write_atomic
 from .suite import get_problem, load_reference_csv, problem_names
@@ -101,19 +101,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    summaries = load_summaries(args.in_dir)
-    if not summaries:
-        raise InvalidConfigError(f"no summary_*.json files under {args.in_dir}")
-    by_problem: dict[str, list[dict]] = {}
-    for summary in summaries:
-        by_problem.setdefault(summary["problem"], []).append(summary)
-    for problem, group in sorted(by_problem.items()):
-        for key in BUDGET_KEYS:
-            if any(s[key] != group[0][key] for s in group):
-                values = ", ".join(f"{s['algorithm']}={s[key]!r}" for s in group)
-                raise InvalidConfigError(f"{problem}: summaries differ in {key} ({values})")
-    for problem, group in sorted(by_problem.items()):
-        group.sort(key=lambda s: s["algorithm"])
+    for problem, group in load_summaries(args.in_dir).items():
         text, csv_text = tabulate(group)
         print(f"== {problem} ==")
         print(text)

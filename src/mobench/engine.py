@@ -28,7 +28,7 @@ import numpy as np
 
 from .archive import ParetoArchive
 from .dominance import crowded_order, rank_and_crowd
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidStateError
 from .operators import (
     DISTRIBUTION_INDEX,
     MUTATION_PROB,
@@ -106,7 +106,10 @@ class Engine:
 
     def initialize(self) -> None:
         """Uniform random population; the archive starts from its
-        non-dominated subset."""
+        non-dominated subset. An engine makes one run: once it has a
+        population, this raises :class:`InvalidStateError`."""
+        if len(self.X):
+            raise InvalidStateError("this engine has already run; make a new one per run")
         p = self.problem
         rows = self.rng.uniform(p.lower, p.upper, size=(self.config.n_pop, p.n_vars))
         self._merge(*self._evaluate(rows))

@@ -3,21 +3,27 @@
 A campaign runs N independent seeded executions (seed = base_seed + run
 index), writes each final front as CSV and each run as JSON as soon as
 that run is done, scores every run against a resolved reference front,
-and aggregates the four quality indicators into a summary shaped like a
-comparison-table column (Ave./Std. per metric plus total wall time).
+and summarizes the four quality indicators like a comparison-table
+column (mean and N-divisor standard deviation per metric, plus total
+wall time). Campaign runs and merged-reference builds alike go through
+one helper, :func:`_runs`, which uses a process pool when ``jobs > 1``.
+:func:`load_summaries` reads summaries back for a table and refuses any
+that one table cannot show.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import FrontFileError, InvalidConfigError
-from .metrics import IndicatorReport, aggregate, score_front
+from .metrics import score_front
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
 from .results import RunResult, write_atomic, write_front_csv
@@ -90,12 +96,26 @@ def _execute_run(algorithm: str, problem_name: str, population: int, generations
     return ENGINES[algorithm][0](config, get_problem(problem_name)).run()
 
 
+def _runs(tasks: Sequence[tuple], jobs: int) -> Iterator[RunResult]:
+    """``_execute_run(*task)`` for each task, in task order, each yielded
+    once it and every earlier task are done: in this process when
+    ``jobs == 1`` or there is one task, else in a pool of up to ``jobs``
+    worker processes."""
+    if jobs == 1 or len(tasks) == 1:
+        for task in tasks:
+            yield _execute_run(*task)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        yield from pool.map(_execute_run, *zip(*tasks))
+
+
 def resolve_reference(
     problem_name: str,
     path=None,
     cache_dir=None,
     builder_runs: int = 20,
     builder_generations: int = 1000,
+    jobs: int = 1,
 ) -> ReferenceFront:
     """Pick the reference front for a problem.
 
@@ -106,8 +126,10 @@ def resolve_reference(
     ``cache_dir`` under a name that records the builder's runs,
     generations, population and first seed, so later calls with the same
     budget reload it and calls with another budget build their own. The
-    cache is written atomically, so an interrupted build
-    never leaves a truncated cache that later calls would trust.
+    builder runs go through :func:`_runs` with ``jobs``, which does not
+    change the cache bytes. The cache is written atomically after the last
+    run, so an interrupted build never leaves a cache that later calls
+    would trust.
     """
     if path is not None:
         return load_reference_csv(path)
@@ -125,44 +147,30 @@ def resolve_reference(
     if cache_file.exists():
         loaded = load_reference_csv(cache_file)
         return ReferenceFront(points=loaded.points, source="merged-runs")
-    fronts = []
-    for algorithm in ALGORITHMS:
-        for r in range(builder_runs):
-            result = _execute_run(
-                algorithm, problem_name, BUILDER_POPULATION, builder_generations, r
-            )
-            if result.front.size:
-                fronts.append(result.front)
-    reference = merged_reference_front(fronts)
+    tasks = [
+        (algorithm, problem_name, BUILDER_POPULATION, builder_generations, r)
+        for algorithm in ALGORITHMS
+        for r in range(builder_runs)
+    ]
+    reference = merged_reference_front([result.front for result in _runs(tasks, jobs)])
     cache_dir.mkdir(parents=True, exist_ok=True)
     write_front_csv(cache_file, reference.points)
     return reference
 
 
-def _stats_block(reports: Sequence[IndicatorReport], total_wall_ms: float) -> dict[str, float]:
-    stats = aggregate(reports)
+def _stats_block(per_run: Sequence[dict]) -> dict[str, float]:
+    """The summary's ``stats``, in :data:`STAT_ROWS` order: each Ave./Std.
+    row is the mean or N-divisor standard deviation of one metric over the
+    runs' score dicts, and ``PT`` is their total wall time."""
     block: dict[str, float] = {}
     for row in STAT_ROWS:
         if row == "PT":
-            block[row] = total_wall_ms
-            continue
-        prefix, metric = row.split(".")
-        source = stats.mean if prefix == "Ave" else stats.std
-        block[row] = getattr(source, _METRIC_BY_ROW[metric])
+            block[row] = sum(run["wall_ms"] for run in per_run)
+        else:
+            prefix, metric = row.split(".")
+            stat = np.mean if prefix == "Ave" else np.std  # np.std divides by N
+            block[row] = float(stat([run[_METRIC_BY_ROW[metric]] for run in per_run]))
     return block
-
-
-def _campaign_runs(config: CampaignConfig) -> Iterator[RunResult]:
-    """The run results in seed order, each once it and all earlier seeds are done."""
-    seeds = range(config.base_seed, config.base_seed + config.runs)
-    run = partial(
-        _execute_run, config.algorithm, config.problem, config.population, config.generations
-    )
-    if config.jobs == 1 or config.runs == 1:
-        yield from map(run, seeds)
-        return
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        yield from pool.map(run, seeds)
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -174,21 +182,21 @@ def run_campaign(config: CampaignConfig) -> dict:
     summary_<algorithm>_<problem>.json in the output directory).
     """
     reference = resolve_reference(
-        config.problem, path=config.reference_path, cache_dir=config.out_dir
+        config.problem, path=config.reference_path, cache_dir=config.out_dir, jobs=config.jobs
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = []
+    tasks = [
+        (config.algorithm, config.problem, config.population, config.generations, seed)
+        for seed in range(config.base_seed, config.base_seed + config.runs)
+    ]
     per_run = []
-    for result in _campaign_runs(config):
+    for result in _runs(tasks, config.jobs):
         stem = f"{config.algorithm}_{config.problem}_{result.seed}"
         write_front_csv(config.out_dir / f"front_{stem}.csv", result.front)
         result.write_json(config.out_dir / f"result_{stem}.json")
-        report = score_front(result.front, reference.points, gd_p=config.gd_p)
-        reports.append(report)
-        per_run.append(
-            {"seed": result.seed, "wall_ms": result.wall_ms, **report.as_dict()}
-        )
+        scores = score_front(result.front, reference.points, gd_p=config.gd_p).as_dict()
+        per_run.append({"seed": result.seed, "wall_ms": result.wall_ms, **scores})
 
     summary = {
         "algorithm": config.algorithm,
@@ -199,7 +207,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         "population": config.population,
         "gd_p": config.gd_p,
         "reference_source": reference.source,
-        "stats": _stats_block(reports, sum(run["wall_ms"] for run in per_run)),
+        "stats": _stats_block(per_run),
         "per_run": per_run,
     }
     summary_path = config.out_dir / f"summary_{config.algorithm}_{config.problem}.json"
@@ -232,13 +240,17 @@ def tabulate(summaries: Sequence[dict]) -> tuple[str, str]:
     return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
 
 
-def load_summaries(directory) -> list[dict]:
-    """Read every summary_*.json under a campaign output directory; raises
-    :class:`FrontFileError` naming the file when one is not valid JSON, or
-    lacks a key that the table command reads (:data:`BUDGET_KEYS` too) or
-    holds a wrong type there (names must be strings, stats real numbers)."""
+def load_summaries(directory) -> dict[str, list[dict]]:
+    """Read every summary_*.json under a campaign output directory into
+    ``{problem: [summaries sorted by algorithm]}``, problems sorted, each
+    group one :func:`tabulate` call. Raises :class:`FrontFileError` naming
+    the file when one is not valid JSON, lacks a key that the table reads
+    (:data:`BUDGET_KEYS` too) or holds a wrong type or value there (names
+    must be strings, stats finite real numbers); once every file passes,
+    raises :class:`InvalidConfigError` when there is none, or when one
+    problem's summaries differ in a :data:`BUDGET_KEYS` field."""
     directory = Path(directory)
-    summaries = []
+    groups: dict[str, list[dict]] = {}
     for path in sorted(directory.glob("summary_*.json")):
         try:
             summary = json.loads(path.read_text(encoding="utf-8"))
@@ -250,13 +262,25 @@ def load_summaries(directory) -> list[dict]:
         except (KeyError, TypeError) as exc:
             raise FrontFileError(f"{path}: not a valid summary: {exc!r}") from exc
         # json.loads yields exact types, and a bool is neither int nor float here
-        bad = [key for key, v in names.items() if type(v) is not str] + [
-            f"stats[{row!r}]" for row, v in stats.items() if type(v) not in (int, float)
-        ]
+        bad = [f"{key} has the wrong type" for key, v in names.items() if type(v) is not str]
+        for row, v in stats.items():
+            if type(v) not in (int, float):
+                bad.append(f"stats[{row!r}] has the wrong type")
+            elif not abs(v) <= sys.float_info.max:  # NaN, +-Infinity, an int beyond floats
+                bad.append(f"stats[{row!r}] is not finite")
         if bad:
-            raise FrontFileError(f"{path}: not a valid summary: {bad[0]} has the wrong type")
+            raise FrontFileError(f"{path}: not a valid summary: {bad[0]}")
         missing = [key for key in BUDGET_KEYS if key not in summary]
         if missing:
             raise FrontFileError(f"{path}: not a valid summary: no {missing[0]!r} field")
-        summaries.append(summary)
-    return summaries
+        groups.setdefault(summary["problem"], []).append(summary)
+    if not groups:
+        raise InvalidConfigError(f"no summary_*.json files under {directory}")
+    groups = dict(sorted(groups.items()))
+    for problem, group in groups.items():
+        group.sort(key=lambda s: s["algorithm"])
+        for key in BUDGET_KEYS:
+            if any(s[key] != group[0][key] for s in group):
+                values = ", ".join(f"{s['algorithm']}={s[key]!r}" for s in group)
+                raise InvalidConfigError(f"{problem}: summaries differ in {key} ({values})")
+    return groups

@@ -11,7 +11,6 @@ Euclidean norm of the per-objective widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,15 +28,6 @@ class IndicatorReport:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self._FIELDS}
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Per-metric mean and standard deviation over a set of runs."""
-
-    mean: IndicatorReport
-    std: IndicatorReport
-    n_runs: int
 
 
 def _as_front(points, label: str) -> np.ndarray:
@@ -104,15 +94,3 @@ def score_front(front, reference, gd_p: int = 2) -> IndicatorReport:
         max_spread=max_spread(front),
     )
 
-
-def aggregate(reports: Sequence[IndicatorReport]) -> EnsembleStats:
-    """Mean and population (N-divisor) standard deviation per metric over
-    >= 1 runs."""
-    if len(reports) == 0:
-        raise InvalidInputError("aggregate needs at least one report")
-    values = {
-        name: np.array([getattr(r, name) for r in reports]) for name in IndicatorReport._FIELDS
-    }
-    mean = IndicatorReport(**{name: float(v.mean()) for name, v in values.items()})
-    std = IndicatorReport(**{name: float(v.std()) for name, v in values.items()})
-    return EnsembleStats(mean=mean, std=std, n_runs=len(reports))

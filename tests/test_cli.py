@@ -25,6 +25,14 @@ def _run_or_die(algorithm, problem, population, generations, seed):
     return _execute_run(algorithm, problem, population, generations, seed)
 
 
+def _build_or_die(algorithm, problem, population, generations, seed):
+    """A merged-reference builder run cut to two generations that kills
+    its worker process on NSGA-II's seed 1."""
+    if algorithm == "nsga2" and seed == 1:
+        os._exit(1)
+    return _execute_run(algorithm, problem, population, 2, seed)
+
+
 BUDGET = {"generations": 0, "population": 12, "runs": 1, "gd_p": 2, "reference_source": "analytic"}
 
 
@@ -72,6 +80,21 @@ def test_run_crashed_worker_exits_5_and_keeps_finished_runs(tmp_path, capsys, mo
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "front_nsga2_zdt1_1.csv", "result_nsga2_zdt1_1.json"
     ]
+
+
+def test_reference_build_crashed_worker_exits_5_and_writes_no_cache(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(harness, "_execute_run", _build_or_die)
+    code = main(
+        [
+            "run", "--algo", "nsga2", "--problem", "coil_spring", "--runs", "2", "--jobs", "2",
+            "--generations", "1", "--pop", "12", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 5
+    assert "worker process died" in capsys.readouterr().err
+    assert list(tmp_path.rglob("reference_*.csv")) == []
 
 
 def test_run_unreadable_reference_exits_3(tmp_path, capsys):
@@ -138,6 +161,14 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
         (json.dumps({**valid, "stats": dict.fromkeys(STAT_ROWS, True)}), "stats['Ave.GD'] has"),
         (json.dumps({**valid, "algorithm": 1}), "algorithm has the wrong type"),
         (json.dumps({**valid, "problem": None}), "problem has the wrong type"),
+        (json.dumps({**valid, "stats": {**valid["stats"], "Std.S": float("nan")}}),
+         "stats['Std.S'] is not finite"),
+        (json.dumps({**valid, "stats": {**valid["stats"], "PT": float("-inf")}}),
+         "stats['PT'] is not finite"),
+        (json.dumps({**valid, "stats": dict.fromkeys(STAT_ROWS, float("inf"))}),
+         "stats['Ave.GD'] is not finite"),
+        (json.dumps({**valid, "stats": {**valid["stats"], "Ave.S": 10**400}}),
+         "stats['Ave.S'] is not finite"),
     ]:
         summary.write_text(damaged)
         assert main(["table", "--in", str(tmp_path)]) == 3

@@ -7,6 +7,7 @@ from mobench import engine as engine_module
 from mobench import molpb
 from mobench.archive import ParetoArchive
 from mobench.dominance import non_dominated_sort
+from mobench.errors import InvalidStateError
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
 from mobench.suite import car_side_impact, coil_spring, zdt
@@ -26,6 +27,20 @@ def test_stored_genotype_is_decoded(algorithm):
         engine.step()
     for row in engine.X:
         assert np.array_equal(row, decode(row, problem))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_an_engine_runs_once(algorithm):
+    # a second run would continue the first one's population, archive and
+    # counters, so it is refused, and the first result stands
+    engine_cls, config_cls = ENGINES[algorithm]
+    engine = engine_cls(config_cls(seed=1, max_generations=5), zdt("zdt1"))
+    result = engine.run()
+    assert (result.generations, result.evaluations) == (5, 800)
+    for again in (engine.run, engine.initialize):
+        with pytest.raises(InvalidStateError):
+            again()
+    assert (engine.generation, engine.evaluations) == (5, 800)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

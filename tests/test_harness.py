@@ -6,13 +6,13 @@ import pytest
 from mobench import harness, results
 from mobench.errors import FrontFileError, InvalidConfigError, InvalidInputError
 from mobench.harness import (
+    STAT_ROWS,
     CampaignConfig,
     load_summaries,
     resolve_reference,
     run_campaign,
     tabulate,
 )
-from mobench.metrics import IndicatorReport, aggregate
 from mobench.results import RunResult, read_front_csv, write_front_csv
 
 from oracles import parse_table_csv
@@ -159,6 +159,13 @@ class TestResolveReference:
             "reference_four_bar_truss_r1_g5_p100_s0.csv",
         ]
 
+    def test_cache_bytes_do_not_depend_on_jobs(self, tmp_path):
+        small = dict(builder_runs=2, builder_generations=10)
+        name = "reference_coil_spring_r2_g10_p100_s0.csv"
+        for jobs in (1, 2):
+            resolve_reference("coil_spring", cache_dir=tmp_path / f"j{jobs}", jobs=jobs, **small)
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
     def test_engineering_without_cache_dir_rejected(self):
         with pytest.raises(InvalidConfigError):
             resolve_reference("pressure_vessel")
@@ -215,17 +222,20 @@ class TestRunCampaign:
 
     def test_summary_stats_equal_recomputed_aggregate(self, tmp_path):
         summary = run_campaign(self._config(tmp_path, runs=3))
-        reports = [
-            IndicatorReport(
-                gd=r["gd"], rgd=r["rgd"], spacing=r["spacing"], max_spread=r["max_spread"]
-            )
-            for r in summary["per_run"]
-        ]
-        stats = aggregate(reports)
-        assert summary["stats"]["Ave.GD"] == stats.mean.gd
-        assert summary["stats"]["Std.S"] == stats.std.spacing
-        assert summary["stats"]["Ave.MS"] == stats.mean.max_spread
-        assert summary["stats"]["Ave.RGD"] == stats.mean.rgd
+        per_run = summary["per_run"]
+        expected = {}
+        for prefix, stat in (("Ave", np.mean), ("Std", np.std)):
+            for row, metric in (("GD", "gd"), ("MS", "max_spread"), ("RGD", "rgd"), ("S", "spacing")):
+                expected[f"{prefix}.{row}"] = float(stat([r[metric] for r in per_run]))
+        expected["PT"] = sum(r["wall_ms"] for r in per_run)
+        assert summary["stats"] == expected
+        assert list(summary["stats"]) == list(STAT_ROWS)
+        # the standard deviation divides by N, not N - 1
+        gd = np.array([r["gd"] for r in per_run])
+        assert len(set(gd)) > 1
+        n_divisor = np.sqrt(((gd - gd.mean()) ** 2).sum() / len(gd))
+        assert summary["stats"]["Std.GD"] == pytest.approx(n_divisor, rel=1e-12)
+        assert summary["stats"]["Std.GD"] != pytest.approx(np.std(gd, ddof=1), rel=1e-6)
 
 
 class TestTabulate:
@@ -266,5 +276,18 @@ def test_load_summaries_reads_written_files(tmp_path):
     )
     run_campaign(config)
     summaries = load_summaries(tmp_path)
-    assert len(summaries) == 1
-    assert summaries[0]["algorithm"] == "nsga2"
+    assert list(summaries) == ["zdt1"]
+    assert [s["algorithm"] for s in summaries["zdt1"]] == ["nsga2"]
+
+
+def test_load_summaries_groups_by_problem_and_sorts_by_algorithm(tmp_path):
+    for algorithm, problem in [("nsga2", "zdt2"), ("molpb", "zdt2"), ("nsga2", "zdt1")]:
+        summary = {
+            "algorithm": algorithm, "problem": problem, "generations": 0, "population": 12,
+            "runs": 1, "gd_p": 2, "reference_source": "analytic",
+            "stats": dict.fromkeys(STAT_ROWS, 0.5),
+        }
+        (tmp_path / f"summary_{algorithm}_{problem}.json").write_text(json.dumps(summary))
+    summaries = load_summaries(tmp_path)
+    assert list(summaries) == ["zdt1", "zdt2"]
+    assert [s["algorithm"] for s in summaries["zdt2"]] == ["molpb", "nsga2"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobench.errors import InvalidInputError
-from mobench.metrics import IndicatorReport, aggregate, gd, max_spread, rgd, score_front, spacing
+from mobench.metrics import gd, max_spread, rgd, score_front, spacing
 
 from oracles import gd_oracle, max_spread_oracle, rgd_oracle, spacing_oracle
 from strategies import objective_rows
@@ -106,31 +106,6 @@ def test_all_metrics_match_oracles_on_random_fronts(front, data):
         assert rgd(front, ref, p=p) == pytest.approx(rgd_oracle(front, ref, p=p), **close)
     assert spacing(front) == pytest.approx(spacing_oracle(front), **close)
     assert max_spread(front) == pytest.approx(max_spread_oracle(front), **close)
-
-
-class TestAggregate:
-    def test_single_run_std_zero(self):
-        report = IndicatorReport(gd=1.0, rgd=2.0, spacing=3.0, max_spread=4.0)
-        stats = aggregate([report])
-        assert stats.mean == report
-        assert stats.std == IndicatorReport(gd=0.0, rgd=0.0, spacing=0.0, max_spread=0.0)
-
-    def test_two_runs_population_std(self):
-        r1 = IndicatorReport(gd=1.0, rgd=1.0, spacing=1.0, max_spread=1.0)
-        r2 = IndicatorReport(gd=3.0, rgd=3.0, spacing=3.0, max_spread=3.0)
-        stats = aggregate([r1, r2])
-        assert stats.mean.gd == 2.0
-        assert stats.std.gd == 1.0  # population divisor
-
-    def test_thirty_equal_reports(self):
-        report = IndicatorReport(gd=0.5, rgd=0.5, spacing=0.5, max_spread=0.5)
-        stats = aggregate([report] * 30)
-        assert stats.std == IndicatorReport(gd=0.0, rgd=0.0, spacing=0.0, max_spread=0.0)
-        assert stats.n_runs == 30
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            aggregate([])
 
 
 def test_score_front_bundles_all_four():
