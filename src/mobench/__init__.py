@@ -6,18 +6,13 @@ problems, four front quality indicators, and a seeded experiment harness.
 """
 
 from .archive import ParetoArchive
-from .dominance import (
-    crowding_distance,
-    dominates,
-    non_dominated_sort,
-)
+from .dominance import crowding_distance, non_dominated_sort
 from .errors import (
     EvaluationError,
     FrontFileError,
     InvalidConfigError,
     InvalidInputError,
     InvalidStateError,
-    UnsupportedProblemError,
 )
 from .metrics import IndicatorReport, gd, max_spread, rgd, spacing
 from .molpb import MolpbConfig, MolpbEngine
@@ -37,14 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ParetoArchive",
     "crowding_distance",
-    "dominates",
     "non_dominated_sort",
     "EvaluationError",
     "FrontFileError",
     "InvalidConfigError",
     "InvalidInputError",
     "InvalidStateError",
-    "UnsupportedProblemError",
     "IndicatorReport",
     "gd",
     "max_spread",

@@ -8,9 +8,10 @@ it is strictly better somewhere exactly when ``B[j]`` is not no worse
 than ``A[i]``, so within one set it is ``le & ~le.T``. :func:`non_dominated`
 is the one rule for keeping a non-dominated set (archive, reference
 fronts): a row goes when another row dominates it or an earlier row
-equals it. The sort uses the O(m * n^2) domination-count scheme and
-returns a rank array: ``rank[i]`` is the front number of row ``i``, so
-front 0 (the non-dominated set) is ``rank == 0``. Crowding distance is
+equals it. :func:`non_dominated_sort` builds ``le & ~le.T`` inline, uses
+the O(m * n^2) domination-count scheme and returns a rank array:
+``rank[i]`` is the front number of row ``i``, so front 0 (the
+non-dominated set) is ``rank == 0``. Crowding distance is
 computed for all fronts at once, in one pass per objective.
 Selection needs only :func:`crowded_order`: the first ``k`` indices it
 returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
@@ -34,22 +35,6 @@ def no_worse(A, B) -> np.ndarray:
     return le
 
 
-def dominates(a, b) -> bool:
-    """True iff objective vector ``a`` Pareto-dominates ``b``: no worse in
-    every objective and strictly better in at least one."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(domination_matrix(np.stack([a, b]).reshape(2, -1))[0, 1])
-
-
-def domination_matrix(points: np.ndarray) -> np.ndarray:
-    """Boolean matrix D with D[i, j] true iff point i dominates point j."""
-    le = no_worse(points, points)
-    return le & ~le.T
-
-
 def non_dominated(points) -> np.ndarray:
     """Mask of the rows to keep as a non-dominated set: those that no row
     dominates and no earlier row equals (``-0.0`` equals ``0.0``)."""
@@ -64,7 +49,8 @@ def non_dominated_sort(points) -> np.ndarray:
     F = np.asarray(points, dtype=float)
     if F.ndim != 2 or F.shape[0] == 0:
         raise InvalidInputError("non_dominated_sort needs a non-empty list of objective vectors")
-    D = domination_matrix(F)
+    le = no_worse(F, F)
+    D = le & ~le.T  # D[i, j]: row i dominates row j
     counts = D.sum(axis=0).astype(int)
     rank = np.empty(len(F), dtype=int)
     current = np.flatnonzero(counts == 0)

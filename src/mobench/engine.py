@@ -58,6 +58,8 @@ class EngineConfig:
             raise InvalidConfigError("n_pop must be >= 2")
         if self.max_generations < 0:
             raise InvalidConfigError("max_generations must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.offspring_count is None:
             object.__setattr__(self, "offspring_count", default_offspring_count(self.n_pop))
         if self.offspring_count < 2 or self.offspring_count % 2 != 0:

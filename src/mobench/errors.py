@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class is one way to fail, and the CLI maps it to one exit code: bad
+input or configuration (:class:`InvalidInputError`,
+:class:`InvalidConfigError`) exits 2, an unreadable results file
+(:class:`FrontFileError`) exits 3, and a misbehaving evaluator
+(:class:`EvaluationError`) exits 4.
+"""
 
 
 class InvalidInputError(ValueError):
@@ -22,11 +29,6 @@ class EvaluationError(RuntimeError):
         super().__init__(message)
         self.x = x
         self.objective_index = objective_index
-
-
-class UnsupportedProblemError(InvalidInputError):
-    """Raised when a feature (e.g. an analytic reference front) does not
-    exist for the requested problem."""
 
 
 class FrontFileError(OSError):

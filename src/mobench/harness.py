@@ -77,7 +77,7 @@ class CampaignConfig:
         # the registry key (lower case), so one problem has one summary name
         object.__setattr__(self, "problem", get_problem(self.problem).name)
         # the engine's own checks, before any reference build starts
-        engine_config(self.algorithm, self.population, self.generations)
+        engine_config(self.algorithm, self.population, self.generations, self.base_seed)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.reference_path is not None:
             object.__setattr__(self, "reference_path", Path(self.reference_path))

@@ -2,7 +2,9 @@
 
 A problem is a pure mapping from decision vectors to objective vectors
 (every objective minimized), plus box bounds and a per-variable kind
-(continuous, integer, or discrete-from-a-set). Every function here works
+(continuous, integer, or discrete-from-a-set). Each fact is stated once:
+the variable count is the number of kinds, and an integer variable's
+range is its whole-number bounds. Every function here works
 on a whole population at once: a matrix with one decision vector per row
 maps to a matrix with one objective vector per row, and a single vector
 maps to a single objective vector. :func:`decode` maps any real vectors
@@ -29,14 +31,8 @@ class Continuous:
 
 @dataclass(frozen=True)
 class Integer:
-    """Integer variable on {lo, ..., hi}; decode rounds ties away from zero."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidConfigError(f"integer variable needs lo <= hi, got [{self.lo}, {self.hi}]")
+    """Integer variable on its whole-number bounds {lower, ..., upper};
+    decode rounds ties away from zero."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ class ProblemSpec:
     """
 
     name: str
-    n_vars: int
     n_objectives: int
     lower: np.ndarray
     upper: np.ndarray
@@ -87,10 +82,8 @@ class ProblemSpec:
         object.__setattr__(self, "upper", upper)
         if self.n_objectives < 2:
             raise InvalidConfigError("a multiobjective problem needs at least 2 objectives")
-        if lower.shape != (self.n_vars,) or upper.shape != (self.n_vars,):
-            raise InvalidConfigError("bounds must have one [lower, upper] pair per variable")
-        if len(self.kinds) != self.n_vars:
-            raise InvalidConfigError("kinds must have one entry per variable")
+        if not lower.shape == upper.shape == (len(self.kinds),):
+            raise InvalidConfigError("bounds must have one [lower, upper] pair per variable kind")
         for j, kind in enumerate(self.kinds):
             if isinstance(kind, Discrete):
                 if lower[j] != kind.allowed[0] or upper[j] != kind.allowed[-1]:
@@ -99,10 +92,15 @@ class ProblemSpec:
                     )
             elif not lower[j] < upper[j]:
                 raise InvalidConfigError(f"variable {j}: lower bound must be < upper bound")
-            elif isinstance(kind, Integer) and (lower[j] != kind.lo or upper[j] != kind.hi):
+            elif isinstance(kind, Integer) and (lower[j] % 1 or upper[j] % 1):
                 raise InvalidConfigError(
-                    f"variable {j}: bounds must match the integer range [{kind.lo}, {kind.hi}]"
+                    f"variable {j}: integer bounds [{lower[j]}, {upper[j]}] must be whole numbers"
                 )
+
+    @property
+    def n_vars(self) -> int:
+        """The number of variables: one per entry of ``kinds``."""
+        return len(self.kinds)
 
     @cached_property
     def _integer_indices(self) -> np.ndarray:

@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dominance import non_dominated
-from .errors import InvalidInputError, UnsupportedProblemError
+from .errors import InvalidInputError
 from .problems import Continuous, Discrete, Integer, ProblemSpec
 from .results import read_front_csv
-
-ZDT_NAMES = ("zdt1", "zdt2", "zdt3", "zdt4", "zdt6")
 
 # Allowed spring wire diameters, ascending.
 SPRING_WIRE_DIAMETERS = (
@@ -95,6 +94,8 @@ _ZDT_TABLE: dict[str, tuple[Callable, int, float, float]] = {
     "zdt6": (_zdt6_obj, 10, 0.0, 1.0),
 }
 
+ZDT_NAMES = tuple(_ZDT_TABLE)
+
 
 def zdt(name: str) -> ProblemSpec:
     """Instantiate a ZDT benchmark by name (ZDT1-ZDT4, ZDT6)."""
@@ -104,7 +105,6 @@ def zdt(name: str) -> ProblemSpec:
     obj, n, lo, hi = _ZDT_TABLE[key]
     return ProblemSpec(
         name=key,
-        n_vars=n,
         n_objectives=2,
         lower=np.r_[0.0, np.full(n - 1, lo)],
         upper=np.r_[1.0, np.full(n - 1, hi)],
@@ -139,7 +139,6 @@ def four_bar_truss() -> ProblemSpec:
     upper = np.array([3.0 * a, 3.0 * a, 3.0 * a, 3.0 * a])
     return ProblemSpec(
         name="four_bar_truss",
-        n_vars=4,
         n_objectives=2,
         lower=lower,
         upper=upper,
@@ -179,11 +178,10 @@ def pressure_vessel() -> ProblemSpec:
 
     return ProblemSpec(
         name="pressure_vessel",
-        n_vars=4,
         n_objectives=2,
         lower=np.array([1.0, 1.0, 10.0, 10.0]),
         upper=np.array([100.0, 100.0, 200.0, 240.0]),
-        kinds=(Integer(1, 100), Integer(1, 100), Continuous(), Continuous()),
+        kinds=(Integer(), Integer(), Continuous(), Continuous()),
         objectives=objectives,
         constraints=_vessel_g,
     )
@@ -235,11 +233,10 @@ def coil_spring() -> ProblemSpec:
     table = SPRING_WIRE_DIAMETERS
     return ProblemSpec(
         name="coil_spring",
-        n_vars=3,
         n_objectives=2,
         lower=np.array([1.0, 0.6, table[0]]),
         upper=np.array([70.0, 30.0, table[-1]]),
-        kinds=(Integer(1, 70), Continuous(), Discrete(table)),
+        kinds=(Integer(), Continuous(), Discrete(table)),
         objectives=objectives,
         constraints=_spring_g,
     )
@@ -287,14 +284,13 @@ def speed_reducer() -> ProblemSpec:
 
     return ProblemSpec(
         name="speed_reducer",
-        n_vars=7,
         n_objectives=3,
         lower=np.array([2.6, 0.7, 17.0, 7.8, 7.8, 2.9, 5.0]),
         upper=np.array([3.6, 0.8, 28.0, 8.3, 8.3, 3.9, 5.5]),
         kinds=(
             Continuous(),
             Continuous(),
-            Integer(17, 28),
+            Integer(),
             Continuous(),
             Continuous(),
             Continuous(),
@@ -354,7 +350,6 @@ def car_side_impact() -> ProblemSpec:
 
     return ProblemSpec(
         name="car_side_impact",
-        n_vars=7,
         n_objectives=4,
         lower=np.array([0.5, 0.45, 0.5, 0.5, 0.875, 0.4, 0.4]),
         upper=np.array([1.5, 1.35, 1.5, 1.5, 2.625, 1.2, 1.2]),
@@ -398,7 +393,7 @@ def analytic_reference_front(name: str, n_points: int = 1000) -> ReferenceFront:
     """
     key = name.lower()
     if key not in ZDT_NAMES:
-        raise UnsupportedProblemError(f"no analytic front for {name!r}")
+        raise InvalidInputError(f"no analytic front for {name!r}")
     if n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
     if key in ("zdt1", "zdt4"):
@@ -459,11 +454,7 @@ def load_reference_csv(path) -> ReferenceFront:
 # --------------------------------------------------------------------------
 
 _FACTORIES: dict[str, Callable[[], ProblemSpec]] = {
-    "zdt1": lambda: zdt("zdt1"),
-    "zdt2": lambda: zdt("zdt2"),
-    "zdt3": lambda: zdt("zdt3"),
-    "zdt4": lambda: zdt("zdt4"),
-    "zdt6": lambda: zdt("zdt6"),
+    **{name: partial(zdt, name) for name in ZDT_NAMES},
     "four_bar_truss": four_bar_truss,
     "pressure_vessel": pressure_vessel,
     "coil_spring": coil_spring,

@@ -3,9 +3,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobench.archive import ParetoArchive
-from mobench.dominance import dominates
 
-from oracles import non_dominated_mask_python, truncation_oracle
+from oracles import dominates_scalar, non_dominated_mask_python, truncation_oracle
 from strategies import objective_rows
 
 
@@ -17,7 +16,7 @@ def all_pairs_non_dominated(archive):
     F = archive.objectives()
     for i in range(len(F)):
         for j in range(len(F)):
-            if i != j and dominates(F[i], F[j]):
+            if i != j and dominates_scalar(F[i], F[j]):
                 return False
     return True
 
@@ -167,7 +166,7 @@ class TestInvariants:
                 dominators = [
                     row
                     for row in members_before
-                    if dominates(row, candidate) or np.array_equal(row, candidate)
+                    if dominates_scalar(row, candidate) or np.array_equal(row, candidate)
                 ]
                 assert dominators  # rejection always had a witness
                 rejected.append((candidate, dominators[0]))
@@ -175,11 +174,11 @@ class TestInvariants:
         final = arc.objectives()
         for cf, witness in rejected:
             still_beaten = any(
-                dominates(row, cf) or np.array_equal(row, cf) for row in final
+                dominates_scalar(row, cf) or np.array_equal(row, cf) for row in final
             )
             # either the final archive still rules it out, or the recorded
             # witness did at rejection time
-            assert still_beaten or dominates(witness, cf) or np.array_equal(witness, cf)
+            assert still_beaten or dominates_scalar(witness, cf) or np.array_equal(witness, cf)
 
 
 @st.composite

@@ -33,6 +33,10 @@ def _build_or_die(algorithm, problem, population, generations, seed):
     return _execute_run(algorithm, problem, population, 2, seed)
 
 
+def _never_run(*task):
+    raise AssertionError(f"an engine run started: {task}")
+
+
 BUDGET = {"generations": 0, "population": 12, "runs": 1, "gd_p": 2, "reference_source": "analytic"}
 
 
@@ -95,6 +99,17 @@ def test_reference_build_crashed_worker_exits_5_and_writes_no_cache(
     assert code == 5
     assert "worker process died" in capsys.readouterr().err
     assert list(tmp_path.rglob("reference_*.csv")) == []
+
+
+def test_run_negative_seed_exits_2_before_any_reference_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_execute_run", _never_run)
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--algo", "nsga2", "--problem", "coil_spring", "--seed", "-3", "--out", str(out)]
+    )
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_run_unreadable_reference_exits_3(tmp_path, capsys):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from mobench.dominance import (
     crowded_order,
     crowding_distance,
-    dominates,
-    domination_matrix,
     non_dominated,
     non_dominated_sort,
     rank_and_crowd,
@@ -38,25 +36,21 @@ def select(points, k):
 
 class TestDominates:
     def test_strictly_better_everywhere(self):
-        assert dominates((1, 2), (2, 3))
+        assert dominates_scalar((1, 2), (2, 3))
 
     def test_incomparable_pair(self):
-        assert not dominates((1, 2), (2, 1))
-        assert not dominates((2, 1), (1, 2))
+        assert not dominates_scalar((1, 2), (2, 1))
+        assert not dominates_scalar((2, 1), (1, 2))
 
     def test_equal_vectors_never_dominate(self):
-        assert not dominates((1, 2), (1, 2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            dominates((1, 2), (1, 2, 3))
+        assert not dominates_scalar((1, 2), (1, 2))
 
     def test_antisymmetry_on_random_pairs(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
             a = rng.normal(size=3)
             b = rng.normal(size=3)
-            assert not (dominates(a, b) and dominates(b, a))
+            assert not (dominates_scalar(a, b) and dominates_scalar(b, a))
 
     def test_transitivity_on_random_chains(self):
         rng = np.random.default_rng(1)
@@ -65,9 +59,9 @@ class TestDominates:
             a = rng.random(3)
             b = a + rng.random(3)  # a dominates b
             c = b + rng.random(3)  # b dominates c
-            if dominates(a, b) and dominates(b, c):
+            if dominates_scalar(a, b) and dominates_scalar(b, c):
                 found += 1
-                assert dominates(a, c)
+                assert dominates_scalar(a, c)
         assert found > 4000  # the construction almost always forms a chain
 
     def test_matches_scalar_oracle(self):
@@ -75,7 +69,9 @@ class TestDominates:
         for _ in range(2000):
             a = rng.integers(0, 4, size=3).astype(float)
             b = rng.integers(0, 4, size=3).astype(float)
-            assert dominates(a, b) == dominates_scalar(a, b)
+            # of two rows, the second ranks 1 exactly when the first dominates it
+            rank = non_dominated_sort(np.stack([a, b]))
+            assert (rank.tolist() == [0, 1]) == dominates_scalar(a, b)
 
 
 class TestNonDominatedSort:
@@ -100,10 +96,10 @@ class TestNonDominatedSort:
             assert set(rank.tolist()) == set(range(rank.max() + 1))  # no empty front
             for i in range(n):
                 front = np.flatnonzero(rank == rank[i])
-                assert not any(dominates(F[j], F[i]) for j in front)
+                assert not any(dominates_scalar(F[j], F[i]) for j in front)
                 if rank[i] > 0:
                     previous = np.flatnonzero(rank == rank[i] - 1)
-                    assert any(dominates(F[j], F[i]) for j in previous)
+                    assert any(dominates_scalar(F[j], F[i]) for j in previous)
 
     def test_matches_recount_oracle_200_points_3_objectives(self):
         rng = np.random.default_rng(4)
@@ -223,9 +219,8 @@ def signed_zero_rows(draw):
 class TestKernelProperties:
     @settings(max_examples=300, deadline=None)
     @given(signed_zero_rows())
-    def test_domination_matrix_matches_scalar_oracle(self, points):
-        want = [[dominates_scalar(a, b) for b in points] for a in points]
-        assert domination_matrix(points).tolist() == want
+    def test_sort_matches_peeling_oracle_on_signed_zeros(self, points):
+        assert np.array_equal(non_dominated_sort(points), rank_array(partition_python(points)))
 
     @settings(max_examples=300, deadline=None)
     @given(signed_zero_rows())

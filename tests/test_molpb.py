@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mobench import molpb
-from mobench.dominance import dominates
 from mobench.errors import InvalidInputError, InvalidStateError
 from mobench.metrics import gd
 from mobench.molpb import (
@@ -20,7 +19,7 @@ from mobench.molpb import (
 from mobench.operators import DISTRIBUTION_INDEX, MUTATION_PROB
 from mobench.suite import analytic_reference_front, coil_spring, zdt
 
-from oracles import non_dominated_mask_python
+from oracles import dominates_scalar, non_dominated_mask_python
 
 
 def rows(points):
@@ -181,7 +180,7 @@ class TestEngine:
             F = engine.archive.objectives()
             for i in range(len(F)):
                 for j in range(len(F)):
-                    assert i == j or not dominates(F[i], F[j])
+                    assert i == j or not dominates_scalar(F[i], F[j])
 
     def test_all_evaluated_solutions_respect_bounds_and_kinds(self):
         base = coil_spring()

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mobench.dominance import crowded_order, dominates, rank_and_crowd
+from mobench.dominance import crowded_order, rank_and_crowd
 from mobench.errors import InvalidConfigError
 from mobench.nsga2 import Nsga2Config, Nsga2Engine
 from mobench.suite import zdt
 
-from oracles import non_dominated_mask_python
+from oracles import dominates_scalar, non_dominated_mask_python
 
 
 def run(config, problem):
@@ -83,7 +83,7 @@ class TestGeneration:
             F = engine.archive.objectives()
             for i in range(len(F)):
                 for j in range(len(F)):
-                    assert i == j or not dominates(F[i], F[j])
+                    assert i == j or not dominates_scalar(F[i], F[j])
 
 
 class TestRun:

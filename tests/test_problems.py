@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench.errors import EvaluationError, InvalidConfigError, InvalidInputError
 from mobench.problems import (
@@ -18,30 +20,49 @@ from mobench.suite import SPRING_WIRE_DIAMETERS, coil_spring, get_problem, probl
 def make_mixed_spec():
     return ProblemSpec(
         name="mixed",
-        n_vars=3,
         n_objectives=2,
         lower=np.array([0.0, -4.0, 0.009]),
         upper=np.array([3.0, 4.0, 0.5]),
-        kinds=(Continuous(), Integer(-4, 4), Discrete(SPRING_WIRE_DIAMETERS)),
+        kinds=(Continuous(), Integer(), Discrete(SPRING_WIRE_DIAMETERS)),
         objectives=lambda x: np.array([x[0], x[1] + x[2]]),
     )
 
 
 class TestVariableKinds:
     def test_integer_needs_ordered_range(self):
-        with pytest.raises(InvalidConfigError):
-            Integer(5, 4)
+        with pytest.raises(InvalidConfigError, match="variable 1: lower bound must be <"):
+            ProblemSpec(
+                name="bad-int",
+                n_objectives=2,
+                lower=np.array([0.0, 5.0]),
+                upper=np.array([1.0, 4.0]),
+                kinds=(Continuous(), Integer()),
+                objectives=lambda x: x,
+            )
 
-    def test_integer_bounds_must_match_its_range(self):
-        for lower, upper in [([0.0, 0.0], [1.0, 10.0]), ([0.0, 1.0], [1.0, 4.0])]:
-            with pytest.raises(InvalidConfigError, match=r"variable 1: .*integer range \[1, 3\]"):
+    def test_integer_bounds_must_be_whole_numbers(self):
+        # decode rounds an integer coordinate, so a fractional bound would
+        # let it leave the box: 2.5 in [0.5, 2.5] rounds to 3.0
+        for lo, hi in [(0.5, 2.5), (0.5, 3.0), (1.0, 2.5)]:
+            with pytest.raises(InvalidConfigError, match=r"variable 1: integer bounds .* whole"):
                 ProblemSpec(
                     name="bad-int",
-                    n_vars=2,
+                    n_objectives=2,
+                    lower=np.array([0.0, lo]),
+                    upper=np.array([1.0, hi]),
+                    kinds=(Continuous(), Integer()),
+                    objectives=lambda x: x,
+                )
+
+    def test_spec_needs_one_bound_pair_per_kind(self):
+        for lower, upper in [([0.0], [1.0]), ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])]:
+            with pytest.raises(InvalidConfigError, match=r"one \[lower, upper\] pair"):
+                ProblemSpec(
+                    name="short-bounds",
                     n_objectives=2,
                     lower=np.array(lower),
                     upper=np.array(upper),
-                    kinds=(Continuous(), Integer(1, 3)),
+                    kinds=(Continuous(), Continuous()),
                     objectives=lambda x: x,
                 )
 
@@ -57,7 +78,6 @@ class TestVariableKinds:
         with pytest.raises(InvalidConfigError):
             ProblemSpec(
                 name="bad",
-                n_vars=1,
                 n_objectives=2,
                 lower=np.array([1.0]),
                 upper=np.array([1.0]),
@@ -85,7 +105,6 @@ class TestDecode:
         # an exactly representable midpoint: 2.0 sits equidistant from 1 and 3
         spec = ProblemSpec(
             name="tie",
-            n_vars=1,
             n_objectives=2,
             lower=np.array([1.0]),
             upper=np.array([3.0]),
@@ -153,7 +172,6 @@ class TestEvaluate:
     def test_non_finite_objective_raises(self):
         spec = ProblemSpec(
             name="nanny",
-            n_vars=1,
             n_objectives=2,
             lower=np.array([0.0]),
             upper=np.array([1.0]),
@@ -168,7 +186,6 @@ class TestEvaluate:
     def test_non_finite_objective_names_the_row(self):
         spec = ProblemSpec(
             name="log",
-            n_vars=1,
             n_objectives=2,
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
@@ -183,7 +200,6 @@ class TestEvaluate:
     def test_wrong_arity_raises(self):
         spec = ProblemSpec(
             name="short",
-            n_vars=1,
             n_objectives=2,
             lower=np.array([0.0]),
             upper=np.array([1.0]),
@@ -217,3 +233,21 @@ def test_batch_calls_equal_row_calls(name):
     for i in range(64):
         assert np.array_equal(decode(raw[i : i + 1], spec), X[i : i + 1])
         assert np.array_equal(evaluate(spec, X[i : i + 1]), F[i : i + 1])
+
+
+@pytest.mark.parametrize("name", problem_names())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decode_is_legal_and_idempotent(name, data):
+    # raw rows reach up to two box widths beyond either bound
+    spec = get_problem(name)
+    rows = st.lists(st.floats(-2.0, 3.0), min_size=spec.n_vars, max_size=spec.n_vars)
+    t = np.array(data.draw(st.lists(rows, min_size=1, max_size=8)))
+    X = decode(spec.lower + t * (spec.upper - spec.lower), spec)
+    assert np.all((spec.lower <= X) & (X <= spec.upper))
+    for j, kind in enumerate(spec.kinds):
+        if isinstance(kind, Integer):
+            assert np.array_equal(X[:, j], np.round(X[:, j]))
+        elif isinstance(kind, Discrete):
+            assert np.isin(X[:, j], kind.allowed).all()
+    assert np.array_equal(decode(X, spec), X)

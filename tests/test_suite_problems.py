@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mobench.dominance import dominates
-from mobench.errors import InvalidInputError, UnsupportedProblemError
+from mobench.errors import InvalidInputError
 from mobench.problems import decode
 from mobench.suite import (
     SPRING_WIRE_DIAMETERS,
@@ -24,11 +23,13 @@ from mobench.suite import (
 )
 from mobench.results import write_front_csv
 
+from oracles import dominates_scalar
+
 
 def mutual_non_domination(points):
     for i in range(len(points)):
         for j in range(len(points)):
-            if i != j and dominates(points[i], points[j]):
+            if i != j and dominates_scalar(points[i], points[j]):
                 return False
     return True
 
@@ -280,7 +281,7 @@ class TestAnalyticReferenceFronts:
         assert f[0] == 1.0
 
     def test_non_zdt_is_unsupported(self):
-        with pytest.raises(UnsupportedProblemError):
+        with pytest.raises(InvalidInputError, match="no analytic front"):
             analytic_reference_front("pressure_vessel", 10)
 
 
