@@ -1,6 +1,9 @@
 """Pareto dominance, fast non-dominated sorting, and crowding distance.
 
-Everything here minimizes. :func:`no_worse` is the one pairwise kernel of
+Everything here minimizes. :func:`non_dominated_sort` and
+:func:`non_dominated` refuse a NaN objective value with
+:class:`InvalidInputError`: it compares neither way, so it has no front.
+:func:`no_worse` is the one pairwise kernel of
 the package: ``le[i, j]`` iff ``A[i] <= B[j]`` in every objective, one
 ``(n_a, n_b)`` pass per objective and no ``(n, n, m)`` temporary. Strict
 dominance needs no second pass: where ``A[i]`` is no worse than ``B[j]``,
@@ -8,10 +11,12 @@ it is strictly better somewhere exactly when ``B[j]`` is not no worse
 than ``A[i]``, so within one set it is ``le & ~le.T``. :func:`non_dominated`
 is the one rule for keeping a non-dominated set (archive, reference
 fronts): a row goes when another row dominates it or an earlier row
-equals it. :func:`non_dominated_sort` builds ``le & ~le.T`` inline, uses
-the O(m * n^2) domination-count scheme and returns a rank array:
-``rank[i]`` is the front number of row ``i``, so front 0 (the
-non-dominated set) is ``rank == 0``. Crowding distance is
+equals it. :func:`non_dominated_sort` returns a rank array: ``rank[i]`` is
+the front number of row ``i``, so front 0 (the non-dominated set) is
+``rank == 0``. With two objectives both functions use an O(n log n)
+sweep over the rows sorted by (f1, f2) (Jensen 2003). With one or three
+and more they work on the O(m * n^2) matrix ``le``, and the sort uses
+the domination-count scheme on ``le & ~le.T``. Crowding distance is
 computed for all fronts at once, in one pass per objective.
 Selection needs only :func:`crowded_order`: the first ``k`` indices it
 returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
@@ -19,6 +24,8 @@ while they fit, then the overflowing front by descending crowding).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -35,10 +42,50 @@ def no_worse(A, B) -> np.ndarray:
     return le
 
 
+def _objectives(points) -> np.ndarray:
+    """Objective rows as floats, refusing NaN, which no sort can place."""
+    F = np.asarray(points, dtype=float)
+    if np.isnan(F).any():
+        raise InvalidInputError("objective vectors must not contain NaN")
+    return F
+
+
+def _sweep(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front number of each row of a two-column ``F``, and whether an
+    earlier row equals it. In (f1, f2) order a row can be dominated only by
+    rows before it, and a front holds one of them exactly when the front's
+    smallest f2 so far is at most the row's f2; the fronts' smallest f2
+    values only grow with the front number, so a bisection finds the first
+    front that does not dominate the row. An exact repeat (``-0.0`` equals
+    ``0.0``) sorts right after its equal and takes its front."""
+    f1, f2 = F.T
+    order = np.lexsort((f2, f1))  # stable: equal rows keep index order
+    f1, f2 = f1[order], f2[order]
+    same = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
+    ranks, lows, r = [], [], 0  # lows[k]: front k's smallest f2 so far
+    for y, again in zip(f2.tolist(), [False, *same.tolist()]):
+        if not again:
+            r = bisect_right(lows, y)
+            if r < len(lows):
+                lows[r] = y
+            else:
+                lows.append(y)
+        ranks.append(r)
+    rank = np.empty(len(F), dtype=int)
+    rank[order] = ranks
+    repeat = np.zeros(len(F), dtype=bool)
+    repeat[order[1:]] = same
+    return rank, repeat
+
+
 def non_dominated(points) -> np.ndarray:
     """Mask of the rows to keep as a non-dominated set: those that no row
     dominates and no earlier row equals (``-0.0`` equals ``0.0``)."""
-    le = no_worse(points, points)
+    F = _objectives(points)
+    if F.ndim == 2 and F.shape[1] == 2:
+        rank, repeat = _sweep(F)
+        return (rank == 0) & ~repeat
+    le = no_worse(F, F)
     # row i drops row j when it is no worse and earlier (j > i) or dominates it
     return ~(le & ~np.tril(le.T)).any(axis=0)
 
@@ -46,9 +93,11 @@ def non_dominated(points) -> np.ndarray:
 def non_dominated_sort(points) -> np.ndarray:
     """Front number of each objective row: 0 for the non-dominated set, 1
     for the set non-dominated once front 0 is removed, and so on."""
-    F = np.asarray(points, dtype=float)
+    F = _objectives(points)
     if F.ndim != 2 or F.shape[0] == 0:
         raise InvalidInputError("non_dominated_sort needs a non-empty list of objective vectors")
+    if F.shape[1] == 2:
+        return _sweep(F)[0]
     le = no_worse(F, F)
     D = le & ~le.T  # D[i, j]: row i dominates row j
     counts = D.sum(axis=0).astype(int)
@@ -69,16 +118,27 @@ def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
     per objective, order the rows by front, value and index, give each
     front's first and last row +inf, and add the neighbour gap over the
     front's span to its interior rows when that span is positive."""
-    dist = np.zeros(len(F))
+    n = len(F)
+    dist = np.zeros(n)
+    # every objective's order runs through the same rank sequence, so the
+    # fronts' bounds are found once: edge[k] marks a front starting at
+    # sorted position k, edge[n] the end of the last one
+    edge = np.ones(n + 1, dtype=bool)
+    r = np.sort(rank)
+    np.not_equal(r[1:], r[:-1], out=edge[1:n])
+    first, last = edge[:n], edge[1:]
+    starts, ends = np.flatnonzero(first), np.flatnonzero(last)
+    bound = first | last
+    inner = np.flatnonzero(~bound)
+    inner_front = (np.cumsum(first) - 1)[inner]
     for col in F.T:
         order = np.lexsort((col, rank))
-        col, r = col[order], rank[order]
-        first = np.r_[True, r[1:] != r[:-1]]
-        last = np.r_[first[1:], True]
-        span = (col[last] - col[first])[np.cumsum(first) - 1]
-        dist[order[first | last]] = np.inf
-        inner = np.flatnonzero(~(first | last) & (span > 0))
-        dist[order[inner]] += (col[inner + 1] - col[inner - 1]) / span[inner]
+        col = col[order]
+        span = (col[ends] - col[starts])[inner_front]
+        dist[order[bound]] = np.inf
+        wide = span > 0
+        at = inner[wide]
+        dist[order[at]] += (col[at + 1] - col[at - 1]) / span[wide]
     return dist
 
 

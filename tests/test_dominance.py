@@ -34,44 +34,66 @@ def select(points, k):
     return crowded_order(*rank_and_crowd(points))[:k]
 
 
+def two_row_ranks(a, b):
+    """Ranks of the rows ``a`` and ``b`` as given (two objectives: the
+    sweep) and with an equal third column appended (the matrix sort)."""
+    return [non_dominated_sort([[*a, *pad], [*b, *pad]]).tolist() for pad in ([], [0.0])]
+
+
 class TestDominates:
     def test_strictly_better_everywhere(self):
         assert dominates_scalar((1, 2), (2, 3))
+        assert two_row_ranks((1, 2), (2, 3)) == [[0, 1]] * 2
+        assert two_row_ranks((2, 3), (1, 2)) == [[1, 0]] * 2
 
     def test_incomparable_pair(self):
         assert not dominates_scalar((1, 2), (2, 1))
         assert not dominates_scalar((2, 1), (1, 2))
+        assert two_row_ranks((1, 2), (2, 1)) == [[0, 0]] * 2
+        assert two_row_ranks((2, 1), (1, 2)) == [[0, 0]] * 2
 
     def test_equal_vectors_never_dominate(self):
         assert not dominates_scalar((1, 2), (1, 2))
+        assert two_row_ranks((1, 2), (1, 2)) == [[0, 0]] * 2
+        assert two_row_ranks((1, -0.0), (1, 0.0)) == [[0, 0]] * 2
 
     def test_antisymmetry_on_random_pairs(self):
+        # at most one row of a pair is dominated, and swapping the rows
+        # swaps their ranks; m = 2 is the sweep, m = 3 the matrix sort
         rng = np.random.default_rng(0)
-        for _ in range(2000):
-            a = rng.normal(size=3)
-            b = rng.normal(size=3)
-            assert not (dominates_scalar(a, b) and dominates_scalar(b, a))
+        for m in (2, 3):
+            for _ in range(2000):
+                a = rng.normal(size=m)
+                b = rng.normal(size=m)
+                rank = non_dominated_sort(np.stack([a, b])).tolist()
+                assert 0 in rank
+                assert non_dominated_sort(np.stack([b, a])).tolist() == rank[::-1]
 
     def test_transitivity_on_random_chains(self):
+        # a dominates b and b dominates c, so a dominates c: the three rows
+        # fall in three fronts in any row order
         rng = np.random.default_rng(1)
-        found = 0
-        for _ in range(5000):
-            a = rng.random(3)
-            b = a + rng.random(3)  # a dominates b
-            c = b + rng.random(3)  # b dominates c
-            if dominates_scalar(a, b) and dominates_scalar(b, c):
-                found += 1
-                assert dominates_scalar(a, c)
-        assert found > 4000  # the construction almost always forms a chain
+        for m in (2, 3):
+            found = 0
+            for _ in range(5000):
+                a = rng.random(m)
+                b = a + rng.random(m)  # a dominates b
+                c = b + rng.random(m)  # b dominates c
+                if dominates_scalar(a, b) and dominates_scalar(b, c):
+                    found += 1
+                    assert non_dominated_sort(np.stack([c, a, b])).tolist() == [2, 0, 1]
+                    assert non_dominated_sort(np.stack([b, c, a])).tolist() == [1, 2, 0]
+            assert found > 4000  # the construction almost always forms a chain
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(2000):
-            a = rng.integers(0, 4, size=3).astype(float)
-            b = rng.integers(0, 4, size=3).astype(float)
-            # of two rows, the second ranks 1 exactly when the first dominates it
-            rank = non_dominated_sort(np.stack([a, b]))
-            assert (rank.tolist() == [0, 1]) == dominates_scalar(a, b)
+        for m in (2, 3):
+            for _ in range(2000):
+                a = rng.integers(0, 4, size=m).astype(float)
+                b = rng.integers(0, 4, size=m).astype(float)
+                # of two rows, the second ranks 1 exactly when the first dominates it
+                rank = non_dominated_sort(np.stack([a, b]))
+                assert (rank.tolist() == [0, 1]) == dominates_scalar(a, b)
 
 
 class TestNonDominatedSort:
@@ -84,6 +106,16 @@ class TestNonDominatedSort:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             non_dominated_sort([])
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_nan_rejected(self, m):
+        # NaN compares neither way, so it has no front on either sort path
+        F = np.zeros((3, m))
+        F[1, -1] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN"):
+            non_dominated_sort(F)
+        with pytest.raises(InvalidInputError, match="NaN"):
+            non_dominated(F)
 
     def test_partition_invariants_random(self):
         rng = np.random.default_rng(3)
@@ -214,6 +246,28 @@ def signed_zero_rows(draw):
     m = draw(st.integers(1, 4))
     cells = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
     return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=1, max_size=20))
+
+
+@st.composite
+def two_objective_rows(draw):
+    """Two-column objective matrices of 1..250 rows on a coarse grid with
+    both signed zeros and +-1e300, so repeated rows, ties in one objective
+    and many fronts are common; 240 rows is the elitist merge's size."""
+    n = draw(st.integers(1, 250))
+    cells = st.sampled_from([-1e300, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e300])
+    return draw(st.lists(st.tuples(cells, cells), min_size=n, max_size=n))
+
+
+class TestTwoObjectiveSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(two_objective_rows())
+    def test_sort_matches_recount_oracle(self, points):
+        assert np.array_equal(non_dominated_sort(points), rank_array(partition_recount(points)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_objective_rows())
+    def test_non_dominated_matches_scalar_oracle(self, points):
+        assert non_dominated(points).tolist() == distinct_non_dominated_python(points)
 
 
 class TestKernelProperties:
