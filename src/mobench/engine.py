@@ -29,13 +29,7 @@ import numpy as np
 from .archive import ParetoArchive
 from .dominance import crowded_order, rank_and_crowd
 from .errors import InvalidConfigError, InvalidStateError
-from .operators import (
-    DISTRIBUTION_INDEX,
-    MUTATION_PROB,
-    default_offspring_count,
-    polynomial_mutation,
-    sbx_crossover,
-)
+from .operators import polynomial_mutation, sbx_crossover
 from .problems import ProblemSpec, decode, evaluate
 from .results import RunResult
 
@@ -43,9 +37,11 @@ from .results import RunResult
 @dataclass(frozen=True, kw_only=True)
 class EngineConfig:
     """Run parameters; the defaults are the standard benchmark settings
-    (population 100, 140 offspring, archive 100, 350 generations). The
-    variation settings are fixed: :data:`~mobench.operators.MUTATION_PROB`
-    and :data:`~mobench.operators.DISTRIBUTION_INDEX`."""
+    (population 100, 350 generations, archive 100, and 2*round(0.7*n_pop)
+    offspring, 140 at that population). The variation settings are not
+    run parameters: the operators read
+    :data:`~mobench.operators.MUTATION_PROB` and
+    :data:`~mobench.operators.DISTRIBUTION_INDEX` themselves."""
 
     n_pop: int = 100
     offspring_count: Optional[int] = None
@@ -61,7 +57,7 @@ class EngineConfig:
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
         if self.offspring_count is None:
-            object.__setattr__(self, "offspring_count", default_offspring_count(self.n_pop))
+            object.__setattr__(self, "offspring_count", 2 * round(0.7 * self.n_pop))
         if self.offspring_count < 2 or self.offspring_count % 2 != 0:
             raise InvalidConfigError("offspring_count must be even and >= 2")
 
@@ -120,12 +116,8 @@ class Engine:
         """One generation: mating, variation, elitist merge, archive update."""
         p = self.problem
         a, b = self.mating()
-        c1, c2 = sbx_crossover(
-            self.X[a], self.X[b], p.lower, p.upper, DISTRIBUTION_INDEX, self.rng
-        )
-        children = polynomial_mutation(
-            np.concatenate([c1, c2]), p.lower, p.upper, MUTATION_PROB, DISTRIBUTION_INDEX, self.rng
-        )
+        c1, c2 = sbx_crossover(self.X[a], self.X[b], p.lower, p.upper, self.rng)
+        children = polynomial_mutation(np.concatenate([c1, c2]), p.lower, p.upper, self.rng)
         self.generation += 1
         self._merge(*self._evaluate(children))
 

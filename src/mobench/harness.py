@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import FrontFileError, InvalidConfigError
+from .errors import FrontFileError, InvalidConfigError, InvalidInputError
 from .metrics import score_front
 from .molpb import MolpbConfig, MolpbEngine
 from .nsga2 import Nsga2Config, Nsga2Engine
@@ -34,6 +34,7 @@ from .suite import (
     is_zdt,
     load_reference_csv,
     merged_reference_front,
+    problem_names,
 )
 
 ENGINES = {"molpb": (MolpbEngine, MolpbConfig), "nsga2": (Nsga2Engine, Nsga2Config)}
@@ -119,10 +120,12 @@ def resolve_reference(
 ) -> ReferenceFront:
     """Pick the reference front for a problem.
 
-    An explicit CSV path wins; ZDT problems fall back to their analytic
-    fronts (1000 points); engineering problems fall back to a merged front
-    built from long runs of both algorithms with seeds 0, 1, ... at
-    population :data:`BUILDER_POPULATION`. That front is cached in
+    An explicit CSV path wins, and must hold as many objectives as the
+    problem (else :class:`InvalidInputError`, before any run starts); ZDT
+    problems fall back to their analytic fronts (1000 points); engineering
+    problems fall back to a merged front built from long runs of both
+    algorithms with seeds 0, 1, ... at population
+    :data:`BUILDER_POPULATION`. That front is cached in
     ``cache_dir`` under a name that records the builder's runs,
     generations, population and first seed, so later calls with the same
     budget reload it and calls with another budget build their own. The
@@ -132,7 +135,13 @@ def resolve_reference(
     would trust.
     """
     if path is not None:
-        return load_reference_csv(path)
+        reference = load_reference_csv(path)
+        width, expected = reference.points.shape[1], get_problem(problem_name).n_objectives
+        if width != expected:
+            raise InvalidInputError(
+                f"{path}: reference has {width} objectives, {problem_name} has {expected}"
+            )
+        return reference
     if is_zdt(problem_name):
         return analytic_reference_front(problem_name)
     if cache_dir is None:
@@ -246,10 +255,13 @@ def load_summaries(directory) -> dict[str, list[dict]]:
     group one :func:`tabulate` call. Raises :class:`FrontFileError` naming
     the file when one is not valid JSON, lacks a key that the table reads
     (:data:`BUDGET_KEYS` too) or holds a wrong type or value there (names
-    must be strings, stats finite real numbers); once every file passes,
-    raises :class:`InvalidConfigError` when there is none, or when one
-    problem's summaries differ in a :data:`BUDGET_KEYS` field."""
+    must be a registered algorithm and problem, so no name can steer where
+    the table CSV goes or split its header; stats must be finite real
+    numbers); once every file passes, raises :class:`InvalidConfigError`
+    when there is none, or when one problem's summaries differ in a
+    :data:`BUDGET_KEYS` field."""
     directory = Path(directory)
+    registered = {"algorithm": ALGORITHMS, "problem": problem_names()}
     groups: dict[str, list[dict]] = {}
     for path in sorted(directory.glob("summary_*.json")):
         try:
@@ -262,7 +274,12 @@ def load_summaries(directory) -> dict[str, list[dict]]:
         except (KeyError, TypeError) as exc:
             raise FrontFileError(f"{path}: not a valid summary: {exc!r}") from exc
         # json.loads yields exact types, and a bool is neither int nor float here
-        bad = [f"{key} has the wrong type" for key, v in names.items() if type(v) is not str]
+        bad = []
+        for key, v in names.items():
+            if type(v) is not str:
+                bad.append(f"{key} has the wrong type")
+            elif v not in registered[key]:
+                bad.append(f"{key} {v!r} is not registered")
         for row, v in stats.items():
             if type(v) not in (int, float):
                 bad.append(f"stats[{row!r}] has the wrong type")

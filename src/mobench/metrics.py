@@ -10,7 +10,7 @@ Euclidean norm of the per-objective widths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,10 +24,8 @@ class IndicatorReport:
     spacing: float
     max_spread: float
 
-    _FIELDS = ("gd", "rgd", "spacing", "max_spread")
-
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return asdict(self)
 
 
 def _as_front(points, label: str) -> np.ndarray:

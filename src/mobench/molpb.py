@@ -20,19 +20,21 @@ import numpy as np
 
 from .dominance import crowded_order, no_worse, rank_and_crowd
 from .engine import Engine, EngineConfig
-from .errors import InvalidInputError, InvalidStateError
-from .operators import dp_split_size
+from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
 
 DP = 0.6  # fraction of the population separated each generation
 
 
 @dataclass(frozen=True, kw_only=True)
 class MolpbConfig(EngineConfig):
-    """Engine settings; MOLPB needs ``n_pop >= 4``."""
+    """Engine settings; MOLPB needs ``n_pop >= 4``, so that the separated
+    group (half-up :data:`DP` of the population) has at least two members
+    to halve and the main population at least one."""
 
     def __post_init__(self):
         super().__post_init__()
-        dp_split_size(self.n_pop, DP)  # validates n_pop >= 4
+        if self.n_pop < 4:
+            raise InvalidConfigError(f"population size must be >= 4, got {self.n_pop}")
 
 
 def split_good_bad(F) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +106,7 @@ class MolpbEngine(Engine):
         runs out."""
         cfg, F = self.config, self.F
         perm = self.rng.permutation(cfg.n_pop)
-        split = dp_split_size(cfg.n_pop, DP)
+        split = int(DP * cfg.n_pop + 0.5)  # half-up; in [2, n_pop - 1] for n_pop >= 4
         separated, main = perm[:split], perm[split:]
         good_rows, bad_rows = split_good_bad(F[separated])
         good, bad = separated[good_rows], separated[bad_rows]

@@ -123,6 +123,22 @@ def test_run_unreadable_reference_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_run_reference_of_wrong_width_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_execute_run", _never_run)
+    reference = tmp_path / "ref.csv"
+    write_front_csv(reference, np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "run", "--algo", "nsga2", "--problem", "zdt1", "--runs", "2",
+            "--out", str(out), "--reference", str(reference),
+        ]
+    )
+    assert code == 2
+    assert "ref.csv: reference has 3 objectives, zdt1 has 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_is_byte_deterministic(tmp_path, capsys):
     args = [
         "run", "--algo", "molpb", "--problem", "zdt1",
@@ -167,6 +183,7 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
     ) == 0
     summary = tmp_path / "summary_nsga2_zdt1.json"
     text = summary.read_text()
+    (tmp_path / "table_nested").mkdir()  # lets a problem name "nested/../../x" resolve
     valid = {"algorithm": "nsga2", "problem": "zdt1", **BUDGET, "stats": dict.fromkeys(STAT_ROWS, 0.5)}
     for damaged, named in [
         (text[:40], "summary_nsga2_zdt1.json"),
@@ -184,11 +201,16 @@ def test_table_truncated_summary_exits_3(tmp_path, capsys):
          "stats['Ave.GD'] is not finite"),
         (json.dumps({**valid, "stats": {**valid["stats"], "Ave.S": 10**400}}),
          "stats['Ave.S'] is not finite"),
+        (json.dumps({**valid, "problem": "nested/../../escaped"}),
+         "problem 'nested/../../escaped' is not registered"),
+        (json.dumps({**valid, "algorithm": "x,y\nz"}), "algorithm 'x,y\\nz' is not registered"),
     ]:
         summary.write_text(damaged)
         assert main(["table", "--in", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "summary_nsga2_zdt1.json" in err and named in err
+    assert not (tmp_path.parent / "escaped.csv").exists()
+    assert [p.name for p in tmp_path.glob("table_*")] == ["table_nested"]
     summary.write_text(json.dumps(valid))  # each case above breaks one field of this one
     assert main(["table", "--in", str(tmp_path)]) == 0
 

@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mobench import molpb, operators
 from mobench.engine import EngineConfig
 from mobench.errors import InvalidConfigError
-from mobench.operators import (
-    default_offspring_count,
-    dp_split_size,
-    polynomial_mutation,
-    sbx_crossover,
-)
+from mobench.operators import polynomial_mutation, sbx_crossover
+from mobench.suite import zdt
 
 
 class TestVariationConfig:
@@ -24,22 +25,48 @@ class TestVariationConfig:
             EngineConfig(offspring_count=0)
 
     def test_default_offspring_count(self):
-        assert default_offspring_count(100) == 140
+        assert EngineConfig(n_pop=100).offspring_count == 140
+
+
+def separated_size(n_pop: int) -> int:
+    """Size of the group that one MOLPB mating separates, read by a spy on
+    ``split_good_bad``, which receives exactly that group's objectives."""
+    sizes = []
+    original = molpb.split_good_bad
+
+    def spy(F):
+        sizes.append(len(F))
+        return original(F)
+
+    engine = molpb.MolpbEngine(molpb.MolpbConfig(n_pop=n_pop, seed=n_pop), zdt("zdt1"))
+    engine.initialize()
+    molpb.split_good_bad = spy
+    try:
+        engine.mating()
+    finally:
+        molpb.split_good_bad = original
+    (size,) = sizes
+    return size
 
 
 class TestDpSplitSize:
     def test_table_default(self):
-        assert dp_split_size(100, 0.6) == 60
-
-    def test_exact_product(self):
-        assert dp_split_size(10, 0.5) == 5
+        assert separated_size(100) == 60
 
     def test_half_up_rounding(self):
-        assert dp_split_size(7, 0.6) == 4  # round(4.2)
-        assert dp_split_size(5, 0.5) == 3  # round(2.5) half-up
+        assert separated_size(7) == 4  # round(4.2)
 
-    def test_floor_of_two(self):
-        assert dp_split_size(4, 0.1) == 2
+    @settings(deadline=None)
+    @given(st.integers(4, 400))
+    def test_half_up_share_leaves_both_groups_usable(self, n_pop):
+        size = separated_size(n_pop)
+        assert size == math.floor(0.6 * n_pop + 0.5)
+        assert 2 <= size <= n_pop - 1
+
+    def test_population_floor(self):
+        with pytest.raises(InvalidConfigError, match="population size must be >= 4, got 3"):
+            molpb.MolpbConfig(n_pop=3)
+        assert molpb.MolpbConfig(n_pop=4).n_pop == 4
 
 
 class _MidpointRng:
@@ -56,7 +83,7 @@ class TestSbxCrossover:
     def test_identical_parents_reproduce(self):
         rng = np.random.default_rng(0)
         p = np.array([0.2, 0.4, 0.6, 0.8, 0.5])
-        c1, c2 = sbx_crossover(p, p, self.lower, self.upper, 20.0, rng)
+        c1, c2 = sbx_crossover(p, p, self.lower, self.upper, rng)
         assert np.allclose(c1, p, atol=1e-15)
         assert np.allclose(c2, p, atol=1e-15)
 
@@ -64,7 +91,7 @@ class TestSbxCrossover:
         rng = np.random.default_rng(1)
         p1 = rng.random((20_000, 5))
         p2 = rng.random((20_000, 5))
-        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, rng)
+        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, rng)
         assert c1.shape == c2.shape == (20_000, 5)
         assert np.all(c1 >= 0) and np.all(c1 <= 1)
         assert np.all(c2 >= 0) and np.all(c2 <= 1)
@@ -75,13 +102,13 @@ class TestSbxCrossover:
         wide_lo, wide_hi = np.full(5, -1e9), np.full(5, 1e9)
         p1 = rng.normal(size=(500, 5))
         p2 = rng.normal(size=(500, 5))
-        c1, c2 = sbx_crossover(p1, p2, wide_lo, wide_hi, 20.0, rng)
+        c1, c2 = sbx_crossover(p1, p2, wide_lo, wide_hi, rng)
         assert np.allclose((c1 + c2) / 2, (p1 + p2) / 2, atol=1e-12)
 
     def test_midpoint_branch_brackets_parent_midpoint(self):
         p1 = np.array([0.1, 0.3, 0.9, 0.2, 0.6])
         p2 = np.array([0.8, 0.1, 0.4, 0.7, 0.6])
-        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, _MidpointRng())
+        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, _MidpointRng())
         mid = (p1 + p2) / 2
         assert np.all(np.minimum(c1, c2) <= mid + 1e-15)
         assert np.all(np.maximum(c1, c2) >= mid - 1e-15)
@@ -90,31 +117,33 @@ class TestSbxCrossover:
         # a matrix call consumes the uniforms exactly as successive row calls
         rng = np.random.default_rng(3)
         p1, p2 = rng.random((4, 5)), rng.random((4, 5))
-        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, np.random.default_rng(8))
+        c1, c2 = sbx_crossover(p1, p2, self.lower, self.upper, np.random.default_rng(8))
         row_rng = np.random.default_rng(8)
         for i in range(4):
-            r1, r2 = sbx_crossover(p1[i], p2[i], self.lower, self.upper, 20.0, row_rng)
+            r1, r2 = sbx_crossover(p1[i], p2[i], self.lower, self.upper, row_rng)
             assert np.array_equal(r1, c1[i]) and np.array_equal(r2, c2[i])
 
     def test_deterministic_under_seed(self):
         p1 = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         p2 = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
-        out1 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, np.random.default_rng(42))
-        out2 = sbx_crossover(p1, p2, self.lower, self.upper, 20.0, np.random.default_rng(42))
+        out1 = sbx_crossover(p1, p2, self.lower, self.upper, np.random.default_rng(42))
+        out2 = sbx_crossover(p1, p2, self.lower, self.upper, np.random.default_rng(42))
         assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
 
 
 class TestPolynomialMutation:
-    def test_zero_probability_is_identity(self):
+    def test_zero_probability_is_identity(self, monkeypatch):
+        monkeypatch.setattr(operators, "MUTATION_PROB", 0.0)
         rng = np.random.default_rng(3)
         x = rng.random(30)
-        out = polynomial_mutation(x, np.zeros(30), np.ones(30), 0.0, 20.0, rng)
+        out = polynomial_mutation(x, np.zeros(30), np.ones(30), rng)
         assert np.array_equal(out, x)
 
-    def test_forced_mutation_changes_interior_coordinates(self):
+    def test_forced_mutation_changes_interior_coordinates(self, monkeypatch):
+        monkeypatch.setattr(operators, "MUTATION_PROB", 1.0)
         rng = np.random.default_rng(4)
         x = np.full(30, 0.5)
-        out = polynomial_mutation(x, np.zeros(30), np.ones(30), 1.0, 20.0, rng)
+        out = polynomial_mutation(x, np.zeros(30), np.ones(30), rng)
         assert np.all(out >= 0) and np.all(out <= 1)
         assert np.count_nonzero(out != x) >= 28  # essentially all coordinates move
 
@@ -122,21 +151,23 @@ class TestPolynomialMutation:
         rng = np.random.default_rng(5)
         n = 100_000
         x = np.full(n, 0.5)
-        out = polynomial_mutation(x, np.zeros(n), np.ones(n), 0.02, 20.0, rng)
+        out = polynomial_mutation(x, np.zeros(n), np.ones(n), rng)  # at MUTATION_PROB = 0.02
         rate = np.count_nonzero(out != x) / n
         assert 0.017 <= rate <= 0.023
 
-    def test_closure_under_random_inputs(self):
+    def test_closure_under_random_inputs(self, monkeypatch):
+        monkeypatch.setattr(operators, "MUTATION_PROB", 0.5)
         rng = np.random.default_rng(6)
         lower = np.full(10, -2.0)
         upper = np.full(10, 3.0)
         x = rng.uniform(-2, 3, size=(2000, 10))
-        out = polynomial_mutation(x, lower, upper, 0.5, 20.0, rng)
+        out = polynomial_mutation(x, lower, upper, rng)
         assert out.shape == (2000, 10)
         assert np.all(out >= lower) and np.all(out <= upper)
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, monkeypatch):
+        monkeypatch.setattr(operators, "MUTATION_PROB", 0.3)
         x = np.linspace(0, 1, 20)
-        a = polynomial_mutation(x, np.zeros(20), np.ones(20), 0.3, 20.0, np.random.default_rng(9))
-        b = polynomial_mutation(x, np.zeros(20), np.ones(20), 0.3, 20.0, np.random.default_rng(9))
+        a = polynomial_mutation(x, np.zeros(20), np.ones(20), np.random.default_rng(9))
+        b = polynomial_mutation(x, np.zeros(20), np.ones(20), np.random.default_rng(9))
         assert np.array_equal(a, b)
