@@ -14,7 +14,10 @@ approximation: a drop changes the crowding of at most 2m members, its
 neighbours in each objective's order (Kukkonen & Deb 2006), and no span
 changes while a finite-crowding member goes, so only those neighbours
 are recomputed, each from scratch and only when it comes up as the next
-candidate to drop.
+candidate to drop. The set-up comes from one stable sort of every column:
+it gives each row's neighbours in each objective, the spans, the edge
+rows and the starting crowding of the others, summed in objective order
+exactly as :func:`dominance.crowding_distance` sums it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import math
 
 import numpy as np
 
-from .dominance import crowding_distance, non_dominated
-from .errors import InvalidConfigError
+from .dominance import non_dominated
+from .errors import InvalidConfigError, InvalidInputError
 
 
 class ParetoArchive:
@@ -49,11 +52,18 @@ class ParetoArchive:
         an empty offer returns 0 and leaves the members as they are. A row
         is rejected when any member or offered row dominates it, or
         when an earlier one matches it exactly (duplicates corrupt spacing
-        and crowding statistics).
+        and crowding statistics). Rows with a non-finite value, or of a
+        width other than the members', raise :class:`InvalidInputError`.
         """
         new = np.atleast_2d(np.asarray(F, dtype=float))
         if new.size == 0:
             return 0
+        if new.ndim != 2:
+            raise InvalidInputError(f"archive rows must form a matrix, got shape {new.shape}")
+        if len(self) and new.shape[1] != self._F.shape[1]:
+            raise InvalidInputError(f"archive rows have {self._F.shape[1]} objectives, got {new.shape[1]}")
+        if not np.isfinite(new).all():
+            raise InvalidInputError("archive rows must be finite")
         F = np.concatenate([self._F, new]) if len(self) else new
         keep = non_dominated(F)
         self._F = F[keep]
@@ -70,33 +80,42 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
     """Rows of ``F`` kept after dropping the smallest finite crowding (lowest
     row on ties) one row at a time down to ``capacity``. With none finite it
     drops the first row and stops: the spans change, so the caller restarts."""
-    n = len(F)
-    cols = F.T.tolist()
-    orders = np.argsort(F, axis=0, kind="stable").T.tolist()
-    links = [([-1] * n, [-1] * n) for _ in orders]  # each row's (prev, next) per objective
-    for (prev, nxt), order in zip(links, orders):
-        for a, b in zip(order, order[1:]):
-            nxt[a], prev[b] = b, a
-    spans = [col[order[-1]] - col[order[0]] for col, order in zip(cols, orders)]
-    terms = [(col, span, *link) for col, span, link in zip(cols, spans, links) if span > 0]
+    n, m = F.shape
+    order = np.argsort(F, axis=0, kind="stable").T  # order[k]: rows by objective k
+    prev, nxt = np.full((m, n), -1), np.full((m, n), -1)  # each row's neighbours per objective
+    k = np.arange(m)
+    nxt[k[:, None], order[:, :-1]] = order[:, 1:]
+    prev[k[:, None], order[:, 1:]] = order[:, :-1]
+    spans = F[order[:, -1], k] - F[order[:, 0], k]
+    cols = F.T
+    edge = np.zeros(n, dtype=bool)
+    edge[order[:, [0, -1]]] = True
+    inner = np.flatnonzero(~edge)
+    crowd = np.zeros(len(inner))
+    for col, span, p, q in zip(cols, spans, prev, nxt):
+        if span > 0:
+            crowd += (col[q[inner]] - col[p[inner]]) / span
+    cols, prev, nxt = cols.tolist(), prev.tolist(), nxt.tolist()
+    links = list(zip(prev, nxt))
+    terms = [(col, span, p, q) for col, span, p, q in zip(cols, spans.tolist(), prev, nxt) if span > 0]
     # (crowding, row) of the finite-crowding rows left; a drop only raises its
     # neighbours' crowding, so a stale entry is a lower bound, renewed on top
-    heap = [(c, i) for i, c in enumerate(crowding_distance(F).tolist()) if c < math.inf]
+    heap = [(c, i) for c, i in zip(crowd.tolist(), inner.tolist()) if c < math.inf]
     heapq.heapify(heap)
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace  # local names for the drop loop
     alive, stale = [True] * n, [False] * n
     for _ in range(n - capacity):
-        while heap and stale[heap[0][1]]:
-            i = heap[0][1]
+        while heap and stale[i := heap[0][1]]:
             stale[i], c = False, 0.0
-            for col, span, prev, nxt in terms:  # in objective order, as crowding_distance
-                c += (col[nxt[i]] - col[prev[i]]) / span
-            heapq.heapreplace(heap, (c, i))
+            for col, span, p, q in terms:  # in objective order, as crowding_distance
+                c += (col[q[i]] - col[p[i]]) / span
+            heapreplace(heap, (c, i))
         if not heap:
             alive[alive.index(True)] = False
             break
-        drop = heapq.heappop(heap)[1]
+        drop = heappop(heap)[1]
         alive[drop] = False
-        for prev, nxt in links:  # a finite-crowding row is interior in every objective
-            a, b = prev[drop], nxt[drop]
-            nxt[a], prev[b], stale[a], stale[b] = b, a, True, True
+        for p, q in links:  # a finite-crowding row is interior in every objective
+            a, b = p[drop], q[drop]
+            q[a], p[b], stale[a], stale[b] = b, a, True, True
     return [i for i in range(n) if alive[i]]

@@ -3,21 +3,26 @@
 Everything here minimizes. :func:`non_dominated_sort` and
 :func:`non_dominated` refuse a NaN objective value with
 :class:`InvalidInputError`: it compares neither way, so it has no front.
-:func:`no_worse` is the one pairwise kernel of
-the package: ``le[i, j]`` iff ``A[i] <= B[j]`` in every objective, one
-``(n_a, n_b)`` pass per objective and no ``(n, n, m)`` temporary. Strict
-dominance needs no second pass: where ``A[i]`` is no worse than ``B[j]``,
-it is strictly better somewhere exactly when ``B[j]`` is not no worse
-than ``A[i]``, so within one set it is ``le & ~le.T``. :func:`non_dominated`
-is the one rule for keeping a non-dominated set (archive, reference
-fronts): a row goes when another row dominates it or an earlier row
-equals it. :func:`non_dominated_sort` returns a rank array: ``rank[i]`` is
-the front number of row ``i``, so front 0 (the non-dominated set) is
-``rank == 0``. With two objectives both functions use an O(n log n)
-sweep over the rows sorted by (f1, f2) (Jensen 2003). With one or three
-and more they work on the O(m * n^2) matrix ``le``, and the sort uses
-the domination-count scheme on ``le & ~le.T``. Crowding distance is
-computed for all fronts at once, in one pass per objective.
+:func:`no_worse` is the one pairwise kernel of the package: ``le[i, j]``
+iff row ``i`` is no worse than row ``j`` in every objective, one
+``(n, n)`` pass per objective and no ``(n, n, m)`` temporary. It compares
+integer rank codes rather than floats: each value is replaced by the
+number of smaller values in its column, so codes order as the values do,
+equal values (``-0.0`` and ``0.0`` included) share a code, and the codes
+fit in int16 up to 32768 rows. Strict dominance needs no second pass:
+where row ``i`` is no worse than row ``j``, it is strictly better
+somewhere exactly when row ``j`` is not no worse than row ``i``, so it is
+``le > le.T``. :func:`non_dominated` is the one rule for keeping a
+non-dominated set (archive, reference fronts): a row goes when another
+row dominates it or an earlier row equals it; equal rows are found by a
+lexsort of the codes, not from the matrix. :func:`non_dominated_sort`
+returns a rank array: ``rank[i]`` is the front number of row ``i``, so
+front 0 (the non-dominated set) is ``rank == 0``. With two objectives
+both functions use an O(n log n) sweep over the rows sorted by (f1, f2)
+(Jensen 2003). With one or three and more they work on the O(m * n^2)
+matrix ``le``, and the sort uses the domination-count scheme on
+``le > le.T``. Crowding distance is computed for all fronts at once, in
+one pass per objective.
 Selection needs only :func:`crowded_order`: the first ``k`` indices it
 returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
 while they fit, then the overflowing front by descending crowding).
@@ -32,13 +37,24 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def no_worse(A, B) -> np.ndarray:
-    """Pairwise comparison of objective rows: ``le[i, j]`` iff ``A[i]`` is no
-    worse than ``B[j]`` in every objective."""
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    le = np.ones((len(A), len(B)), dtype=bool)
-    for a, b in zip(A.T, np.ascontiguousarray(B.T)):
-        le &= a[:, None] <= b
+def _codes(F: np.ndarray) -> np.ndarray:
+    """Objective-major rank codes of the rows of ``F``: ``R[k, i]`` is the
+    number of rows whose objective ``k`` is smaller than row ``i``'s."""
+    cols = np.ascontiguousarray(F.T)
+    R = np.empty(cols.shape, dtype=np.int16 if len(F) <= 32768 else np.int64)
+    for r, col, ordered in zip(R, cols, np.sort(cols, axis=1)):
+        r[:] = np.searchsorted(ordered, col)
+    return R
+
+
+def no_worse(R: np.ndarray) -> np.ndarray:
+    """Pairwise comparison of one set's rows from their rank codes (see
+    :func:`_codes`): ``le[i, j]`` iff row ``i`` is no worse than row ``j``
+    in every objective."""
+    n = R.shape[1]
+    le = np.ones((n, n), dtype=bool)
+    for r in R:
+        le &= r[:, None] <= r
     return le
 
 
@@ -82,12 +98,19 @@ def non_dominated(points) -> np.ndarray:
     """Mask of the rows to keep as a non-dominated set: those that no row
     dominates and no earlier row equals (``-0.0`` equals ``0.0``)."""
     F = _objectives(points)
-    if F.ndim == 2 and F.shape[1] == 2:
+    if F.ndim != 2 or F.shape[1] == 0:
+        raise InvalidInputError("non_dominated needs a 2-D array of objective rows")
+    if F.shape[1] == 2:
         rank, repeat = _sweep(F)
         return (rank == 0) & ~repeat
-    le = no_worse(F, F)
-    # row i drops row j when it is no worse and earlier (j > i) or dominates it
-    return ~(le & ~np.tril(le.T)).any(axis=0)
+    R = _codes(F)
+    le = no_worse(R)
+    # a stable lexsort puts equal rows next to each other, earliest first
+    order = np.lexsort(R)
+    ordered = R[:, order]
+    repeat = np.zeros(len(F), dtype=bool)
+    repeat[order[1:]] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    return ~(le > le.T).any(axis=0) & ~repeat
 
 
 def non_dominated_sort(points) -> np.ndarray:
@@ -98,15 +121,16 @@ def non_dominated_sort(points) -> np.ndarray:
         raise InvalidInputError("non_dominated_sort needs a non-empty list of objective vectors")
     if F.shape[1] == 2:
         return _sweep(F)[0]
-    le = no_worse(F, F)
-    D = le & ~le.T  # D[i, j]: row i dominates row j
-    counts = D.sum(axis=0).astype(int)
+    R = _codes(F)
+    le = no_worse(R)
+    D = (le > le.T).view(np.uint8)  # D[i, j]: row i dominates row j
+    counts = D.sum(axis=0, dtype=R.dtype)  # a count, like a code, is below n
     rank = np.empty(len(F), dtype=int)
     current = np.flatnonzero(counts == 0)
     r = 0
     while current.size:
         rank[current] = r
-        counts = counts - D[current].sum(axis=0)
+        counts -= D[current].sum(axis=0, dtype=R.dtype)
         counts[current] = -1
         current = np.flatnonzero(counts == 0)
         r += 1

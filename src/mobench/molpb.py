@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import crowded_order, no_worse, rank_and_crowd
+from .dominance import crowded_order, rank_and_crowd
 from .engine import Engine, EngineConfig
 from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
 
@@ -60,8 +60,8 @@ def best_of_bad(F) -> int:
 
 def filter_main(F, best_bad) -> np.ndarray:
     """Indices of the main-population rows not dominated by ``best_bad``."""
-    best = np.reshape(best_bad, (1, -1))
-    dominated = no_worse(best, F)[0] & ~no_worse(F, best)[:, 0]
+    best = np.asarray(best_bad, dtype=float)
+    dominated = (best <= F).all(axis=1) & (best < F).any(axis=1)
     return np.flatnonzero(~dominated)
 
 

@@ -5,7 +5,10 @@ both algorithms so that comparisons isolate the algorithmic logic rather
 than operator choices. Both work on whole parent matrices, one pair or
 one child per row, with one draw of uniforms per call (a single vector
 is one row). All operators take an explicit numpy Generator and are pure
-given it. Both read the paper's fixed settings below.
+given it. Both read the paper's fixed settings below. Polynomial mutation
+draws its mask and its uniforms for every coordinate, so the random
+stream does not depend on which coordinates mutate, but evaluates the
+perturbation's powers only for those that do.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
     with the variable range and the result is clamped to the bounds."""
     x = np.asarray(x, dtype=float)
     mask = rng.random(x.shape) < MUTATION_PROB
-    u = rng.random(x.shape)
+    u = rng.random(x.shape)[mask]
     exponent = 1.0 / (DISTRIBUTION_INDEX + 1.0)
-    delta = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
+    delta = np.zeros(x.shape)
+    delta[mask] = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
     out = np.where(mask, x + delta * (np.asarray(upper) - np.asarray(lower)), x)
-    return np.clip(out, lower, upper)
+    return np.clip(out, lower, upper, out=out)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: dominance is re-derived
 from scalar comparisons, the partition oracle re-counts dominators from
 scratch at every peeling level instead of bookkeeping, crowding and
-archive truncation recompute every distance from scratch, the metric
-oracles are plain double loops, and the table parser reads the comparison
+archive truncation recompute every distance from scratch, polynomial
+mutation computes every coordinate's perturbation, the metric oracles
+are plain double loops, and the table parser reads the comparison
 CSV back with string splits.
 """
 
@@ -183,6 +184,19 @@ def selection_oracle(points, k: int) -> list[int]:
         chosen += [front[j] for j in best[: k - len(chosen)]]
         break
     return chosen
+
+
+def polynomial_mutation_dense(x, lower, upper, rng, prob: float, eta: float) -> np.ndarray:
+    """Polynomial mutation with the perturbation computed for every
+    coordinate and kept where the mask is set: the same two draws of
+    uniforms as the library's operator."""
+    x = np.asarray(x, dtype=float)
+    mask = rng.random(x.shape) < prob
+    u = rng.random(x.shape)
+    exponent = 1.0 / (eta + 1.0)
+    delta = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
+    out = np.where(mask, x + delta * (np.asarray(upper) - np.asarray(lower)), x)
+    return np.clip(out, lower, upper)
 
 
 def parse_table_csv(text: str) -> dict[str, dict[str, float]]:

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobench.archive import ParetoArchive
+from mobench.errors import InvalidInputError
 
 from oracles import dominates_scalar, non_dominated_mask_python, truncation_oracle
 from strategies import objective_rows
@@ -65,6 +67,28 @@ class TestInsert:
         assert len(arc) == 1
         assert arc.insert([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [2.0, 2.0]]) == 2
         assert len(arc) == 3
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_refused(self, bad):
+        # an infinite value has no finite span (inf - inf is NaN crowding)
+        # and NaN no front; the members stay as they were
+        for members in ([], [[1.0, 2.0]]):
+            arc = ParetoArchive(capacity=10)
+            arc.insert(members)
+            before = arc.objectives()
+            with pytest.raises(InvalidInputError, match="finite"):
+                arc.insert([[0.5, 3.0], [2.0, bad]])
+            assert arc.objectives().tobytes() == before.tobytes()
+
+    def test_row_of_another_width_refused(self):
+        arc = ParetoArchive(capacity=10)
+        arc.insert(sol(1, 2))
+        for row in (sol(0, 0, 0), sol(0)):
+            with pytest.raises(InvalidInputError, match="2 objectives"):
+                arc.insert(row)
+        with pytest.raises(InvalidInputError, match="matrix"):
+            arc.insert(np.zeros((2, 2, 2)))
+        assert np.array_equal(arc.objectives(), [[1.0, 2.0]])
 
     def test_incomparable_candidates_accumulate(self):
         arc = ParetoArchive(capacity=10)

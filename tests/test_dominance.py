@@ -107,6 +107,11 @@ class TestNonDominatedSort:
         with pytest.raises(InvalidInputError):
             non_dominated_sort([])
 
+    def test_non_matrix_input_rejected(self):
+        for points in ([1.0, 2.0, 3.0], 1.0, np.zeros((2, 2, 2)), np.zeros((3, 0))):
+            with pytest.raises(InvalidInputError):
+                non_dominated(points)
+
     @pytest.mark.parametrize("m", [2, 4])
     def test_nan_rejected(self, m):
         # NaN compares neither way, so it has no front on either sort path
@@ -266,6 +271,31 @@ class TestTwoObjectiveSweep:
 
     @settings(max_examples=100, deadline=None)
     @given(two_objective_rows())
+    def test_non_dominated_matches_scalar_oracle(self, points):
+        assert non_dominated(points).tolist() == distinct_non_dominated_python(points)
+
+
+@st.composite
+def many_objective_rows(draw):
+    """Objective matrices of 3..5 columns and 1..40 rows whose cells include
+    +-inf, the smallest subnormals +-5e-324, +-1e300 and both signed zeros,
+    so the rank codes meet every kind of tie and extreme."""
+    m = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 40))
+    cells = st.sampled_from(
+        [-math.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.0, 1e300, math.inf]
+    )
+    return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+class TestManyObjectiveKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(many_objective_rows())
+    def test_sort_matches_peeling_oracle(self, points):
+        assert np.array_equal(non_dominated_sort(points), rank_array(partition_python(points)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(many_objective_rows())
     def test_non_dominated_matches_scalar_oracle(self, points):
         assert non_dominated(points).tolist() == distinct_non_dominated_python(points)
 

@@ -142,7 +142,14 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
 
 
 @pytest.mark.parametrize(
-    "algorithm, problem", [("molpb", zdt("zdt1")), ("nsga2", coil_spring())], ids=["zdt1-molpb", "coil_spring-nsga2"]
+    "algorithm, problem",
+    [
+        ("molpb", zdt("zdt1")),
+        ("nsga2", coil_spring()),
+        ("nsga2", car_side_impact()),
+        ("molpb", on_grid(car_side_impact(), 0.1)),
+    ],
+    ids=["zdt1-molpb", "coil_spring-nsga2", "car_side_impact-nsga2", "car_side_impact_grid-molpb"],
 )
 def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monkeypatch):
     # whatever scheme ranks the rows and picks the archive's survivors, a

@@ -11,6 +11,8 @@ from mobench.errors import InvalidConfigError
 from mobench.operators import polynomial_mutation, sbx_crossover
 from mobench.suite import zdt
 
+from oracles import polynomial_mutation_dense
+
 
 class TestVariationConfig:
     """The operator settings of the engine config."""
@@ -171,3 +173,20 @@ class TestPolynomialMutation:
         a = polynomial_mutation(x, np.zeros(20), np.ones(20), np.random.default_rng(9))
         b = polynomial_mutation(x, np.zeros(20), np.ones(20), np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("prob", [0.0, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(30,), (140, 30), (9, 1)], ids=["1-D", "140x30", "9x1"])
+    def test_matches_the_dense_formula_and_its_draws(self, prob, shape, monkeypatch):
+        # only the mutated coordinates are computed, from the same draws:
+        # the output bytes and the generator's state after the call match
+        monkeypatch.setattr(operators, "MUTATION_PROB", prob)
+        setup = np.random.default_rng(11)
+        lower = setup.uniform(-5.0, 0.0, shape[-1])
+        upper = lower + setup.uniform(0.0, 5.0, shape[-1])
+        upper[0] = lower[0]  # a bound of zero width
+        x = setup.uniform(lower, upper, size=shape)
+        rng, dense_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = polynomial_mutation(x, lower, upper, rng)
+        want = polynomial_mutation_dense(x, lower, upper, dense_rng, prob, operators.DISTRIBUTION_INDEX)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == dense_rng.bit_generator.state
