@@ -6,7 +6,7 @@ problems, four front quality indicators, and a seeded experiment harness.
 """
 
 from .archive import ParetoArchive
-from .dominance import crowding_distance, non_dominated_sort
+from .dominance import non_dominated_sort
 from .errors import (
     EvaluationError,
     FrontFileError,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParetoArchive",
-    "crowding_distance",
     "non_dominated_sort",
     "EvaluationError",
     "FrontFileError",

@@ -17,7 +17,7 @@ are recomputed, each from scratch and only when it comes up as the next
 candidate to drop. The set-up comes from one stable sort of every column:
 it gives each row's neighbours in each objective, the spans, the edge
 rows and the starting crowding of the others, summed in objective order
-exactly as :func:`dominance.crowding_distance` sums it.
+exactly as :func:`dominance._crowding` sums one front.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
     for _ in range(n - capacity):
         while heap and stale[i := heap[0][1]]:
             stale[i], c = False, 0.0
-            for col, span, p, q in terms:  # in objective order, as crowding_distance
+            for col, span, p, q in terms:  # in objective order, as _crowding
                 c += (col[q[i]] - col[p[i]]) / span
             heapreplace(heap, (c, i))
         if not heap:

@@ -3,7 +3,7 @@
 Everything here minimizes. :func:`non_dominated_sort` and
 :func:`non_dominated` refuse a NaN objective value with
 :class:`InvalidInputError`: it compares neither way, so it has no front.
-:func:`no_worse` is the one pairwise kernel of the package: ``le[i, j]``
+:func:`_no_worse` is the one pairwise kernel of the package: ``le[i, j]``
 iff row ``i`` is no worse than row ``j`` in every objective, one
 ``(n, n)`` pass per objective and no ``(n, n, m)`` temporary. It compares
 integer rank codes rather than floats: each value is replaced by the
@@ -47,7 +47,7 @@ def _codes(F: np.ndarray) -> np.ndarray:
     return R
 
 
-def no_worse(R: np.ndarray) -> np.ndarray:
+def _no_worse(R: np.ndarray) -> np.ndarray:
     """Pairwise comparison of one set's rows from their rank codes (see
     :func:`_codes`): ``le[i, j]`` iff row ``i`` is no worse than row ``j``
     in every objective."""
@@ -104,7 +104,7 @@ def non_dominated(points) -> np.ndarray:
         rank, repeat = _sweep(F)
         return (rank == 0) & ~repeat
     R = _codes(F)
-    le = no_worse(R)
+    le = _no_worse(R)
     # a stable lexsort puts equal rows next to each other, earliest first
     order = np.lexsort(R)
     ordered = R[:, order]
@@ -122,7 +122,7 @@ def non_dominated_sort(points) -> np.ndarray:
     if F.shape[1] == 2:
         return _sweep(F)[0]
     R = _codes(F)
-    le = no_worse(R)
+    le = _no_worse(R)
     D = (le > le.T).view(np.uint8)  # D[i, j]: row i dominates row j
     counts = D.sum(axis=0, dtype=R.dtype)  # a count, like a code, is below n
     rank = np.empty(len(F), dtype=int)
@@ -164,19 +164,6 @@ def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
         at = inner[wide]
         dist[order[at]] += (col[at + 1] - col[at - 1]) / span[wide]
     return dist
-
-
-def crowding_distance(front) -> np.ndarray:
-    """NSGA-II crowding distance over one front of objective vectors.
-
-    Boundary solutions per objective get +inf; interior solutions sum the
-    normalized gap between their neighbours per objective. Zero-range
-    objectives contribute 0, and fronts of size <= 2 are all +inf.
-    """
-    F = np.asarray(front, dtype=float)
-    if F.ndim != 2 or F.shape[0] == 0:
-        raise InvalidInputError("crowding_distance needs a non-empty front")
-    return _crowding(F, np.zeros(len(F), dtype=int))
 
 
 def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:

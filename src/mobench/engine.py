@@ -114,6 +114,8 @@ class Engine:
 
     def step(self) -> None:
         """One generation: mating, variation, elitist merge, archive update."""
+        if not len(self.X):
+            raise InvalidStateError("this engine has no population yet; call initialize() first")
         p = self.problem
         a, b = self.mating()
         c1, c2 = sbx_crossover(self.X[a], self.X[b], p.lower, p.upper, self.rng)

@@ -67,7 +67,9 @@ def spacing(front) -> float:
     within the front. Zero means perfectly even spacing; fronts with fewer
     than two points score 0 by definition."""
     F = np.asarray(front, dtype=float)
-    if F.ndim != 2 or F.shape[0] < 2:
+    if F.ndim != 2:
+        raise InvalidInputError("front must be a 2-D set of objective vectors")
+    if len(F) < 2:
         return 0.0
     d1 = np.abs(F[:, None, :] - F[None, :, :]).sum(axis=2)
     np.fill_diagonal(d1, np.inf)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,10 +61,8 @@ class ProblemSpec:
     n_vars)`` matrix, to their objective vectors, an ``(N, n_objectives)``
     matrix, and a single vector to a single objective vector; writing it
     over the last axis (``x[..., j]`` or ``x.T`` unpacking, and
-    ``np.stack(..., axis=-1)``) serves both. ``constraints`` (optional)
-    returns raw constraint values g_i, one row per input row, with the
-    feasibility convention g_i >= 0. Evaluation must be pure: equal inputs
-    yield bit-identical outputs.
+    ``np.stack(..., axis=-1)``) serves both. Evaluation must be pure:
+    equal inputs yield bit-identical outputs.
     """
 
     name: str
@@ -73,7 +71,6 @@ class ProblemSpec:
     upper: np.ndarray
     kinds: tuple[VariableKind, ...]
     objectives: Callable[[np.ndarray], np.ndarray]
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)

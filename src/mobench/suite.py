@@ -3,8 +3,7 @@
 ZDT1-4 and ZDT6 (continuous, two objectives, no constraints) plus five
 constrained engineering design problems. Constrained problems expose one
 extra minimized objective equal to the total constraint violation, which
-is zero exactly on the feasible set; the raw constraint values (g_i >= 0
-feasible) stay available through the spec's constraint evaluator.
+is zero exactly on the feasible set.
 """
 
 from __future__ import annotations
@@ -183,7 +182,6 @@ def pressure_vessel() -> ProblemSpec:
         upper=np.array([100.0, 100.0, 200.0, 240.0]),
         kinds=(Integer(), Integer(), Continuous(), Continuous()),
         objectives=objectives,
-        constraints=_vessel_g,
     )
 
 
@@ -238,7 +236,6 @@ def coil_spring() -> ProblemSpec:
         upper=np.array([70.0, 30.0, table[-1]]),
         kinds=(Integer(), Continuous(), Discrete(table)),
         objectives=objectives,
-        constraints=_spring_g,
     )
 
 
@@ -297,7 +294,6 @@ def speed_reducer() -> ProblemSpec:
             Continuous(),
         ),
         objectives=objectives,
-        constraints=_reducer_g,
     )
 
 
@@ -355,7 +351,6 @@ def car_side_impact() -> ProblemSpec:
         upper=np.array([1.5, 1.35, 1.5, 1.5, 2.625, 1.2, 1.2]),
         kinds=tuple(Continuous() for _ in range(7)),
         objectives=objectives,
-        constraints=_car_g,
     )
 
 
@@ -422,10 +417,9 @@ def merged_reference_front(fronts: Sequence[np.ndarray]) -> ReferenceFront:
     if len(fronts) == 0:
         raise InvalidInputError("merged_reference_front needs at least one front")
     arrays = [np.asarray(f, dtype=float) for f in fronts]
-    width = arrays[0].shape[1]
-    for f in arrays:
-        if f.ndim != 2 or f.shape[1] != width:
-            raise InvalidInputError("all fronts must share one objective dimensionality")
+    for f in arrays:  # the first front's ndim is checked before its width is read
+        if f.ndim != 2 or f.shape[1] != arrays[0].shape[1]:
+            raise InvalidInputError("fronts must be 2-D and share one objective dimensionality")
     union = np.unique(np.vstack(arrays), axis=0)  # sorted rows fix the cache's row order
     return ReferenceFront(points=union[non_dominated(union)], source="merged-runs")
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobench import dominance
 from mobench.dominance import (
     crowded_order,
-    crowding_distance,
     non_dominated,
     non_dominated_sort,
     rank_and_crowd,
@@ -163,31 +163,36 @@ class TestNonDominatedSort:
 
 
 class TestCrowdingDistance:
+    """Crowding within one front: each input is a single front, or its
+    rescale keeps every row's front, so ``rank_and_crowd`` serves."""
+
     def test_hand_derived_middle_point(self):
-        crowd = crowding_distance([(0, 1), (0.5, 0.5), (1, 0)])
+        crowd = rank_and_crowd([(0, 1), (0.5, 0.5), (1, 0)])[1]
         assert crowd[0] == math.inf and crowd[2] == math.inf
         assert crowd[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_pair_is_all_infinite(self):
-        assert np.all(np.isinf(crowding_distance([(0, 1), (1, 0)])))
+        assert np.all(np.isinf(rank_and_crowd([(0, 1), (1, 0)])[1]))
 
     def test_identical_vectors_zero_interior(self):
-        crowd = crowding_distance([(1, 1)] * 5)
+        crowd = rank_and_crowd([(1, 1)] * 5)[1]
         assert math.isinf(crowd[0]) and math.isinf(crowd[-1])
         assert np.all(crowd[1:-1] == 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(objective_rows())
     def test_matches_literal_oracle(self, points):
-        assert crowding_distance(points).tolist() == crowding_oracle(points)
+        # the whole set as one front: the sum archive truncation starts from
+        F = np.asarray(points, dtype=float)
+        assert dominance._crowding(F, np.zeros(len(F), dtype=int)).tolist() == crowding_oracle(points)
 
     def test_affine_rescale_leaves_finite_entries_unchanged(self):
         rng = np.random.default_rng(8)
         F = rng.random((40, 3))
-        base = crowding_distance(F)
+        base = rank_and_crowd(F)[1]
         scaled = F.copy()
         scaled[:, 1] = 7.5 * scaled[:, 1] + 3.0
-        rescaled = crowding_distance(scaled)
+        rescaled = rank_and_crowd(scaled)[1]
         finite = np.isfinite(base)
         assert np.array_equal(finite, np.isfinite(rescaled))
         assert np.allclose(base[finite], rescaled[finite], atol=1e-12)

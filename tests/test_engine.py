@@ -52,6 +52,19 @@ def test_an_engine_runs_once(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_before_initialize_is_refused(algorithm):
+    # without a population there is nothing to mate; the refusal comes
+    # before any draw, so the engine is left as it was made
+    engine_cls, config_cls = ENGINES[algorithm]
+    engine = engine_cls(config_cls(seed=1), zdt("zdt1"))
+    state = engine.rng.bit_generator.state
+    with pytest.raises(InvalidStateError, match="initialize"):
+        engine.step()
+    assert (engine.generation, engine.evaluations) == (0, 0)
+    assert engine.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_population_is_stored_best_first(algorithm):
     # rows are in crowded order, so the population's own front numbers
     # never decrease down the rows; on zdt4 the population keeps several

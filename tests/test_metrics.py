@@ -81,6 +81,15 @@ class TestSpacing:
         shifted = front + np.array([3.0, -7.0, 11.0])
         assert spacing(shifted) == pytest.approx(spacing(front), abs=1e-12)
 
+    def test_empty_and_single_row_fronts_score_zero(self):
+        assert spacing(np.empty((0, 2))) == 0.0
+        assert spacing([(1.0, 2.0)]) == 0.0
+
+    @pytest.mark.parametrize("front", [[1.0, 2.0, 3.0], [], 5.0])
+    def test_non_matrix_rejected(self, front):
+        with pytest.raises(InvalidInputError):
+            spacing(front)
+
 
 class TestMaxSpread:
     def test_singleton_is_zero(self):

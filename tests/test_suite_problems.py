@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mobench import suite
 from mobench.errors import InvalidInputError
 from mobench.problems import decode
 from mobench.suite import (
@@ -136,7 +137,7 @@ class TestPressureVessel:
     def test_violation_fixture(self):
         spec = pressure_vessel()
         x = np.array([1.0, 1.0, 10.0, 10.0])
-        g = spec.constraints(x)
+        g = suite._vessel_g(x)
         assert g[0] == pytest.approx(0.807, rel=1e-3)
         assert g[1] == pytest.approx(0.9046, rel=1e-3)
         expected_g3 = math.pi * 1000 + (4.0 / 3.0) * math.pi * 1000 - 1296000
@@ -148,7 +149,7 @@ class TestPressureVessel:
         spec = pressure_vessel()
         # large radius/volume satisfies g3; thick walls satisfy g1, g2
         x = np.array([50.0, 50.0, 200.0, 240.0])
-        assert np.all(spec.constraints(x) >= 0)
+        assert np.all(suite._vessel_g(x) >= 0)
         assert spec.objectives(x)[1] == 0.0
 
 
@@ -175,14 +176,13 @@ class TestCoilSpring:
         assert c_f == pytest.approx(1.14483, rel=1e-3)
         assert k == pytest.approx(14.375, rel=1e-9)
         # shear-stress constraint reconstructed from the helpers
-        spec = coil_spring()
-        g = spec.constraints(np.array([x1, x2, x3]))
+        g = suite._spring_g(np.array([x1, x2, x3]))
         assert g[0] == pytest.approx(-8 * c_f * 1000 * x2 / (math.pi * x3**3) + 189000, rel=1e-9)
 
     def test_feasible_point_scores_zero(self):
         spec = coil_spring()
         x = decode(np.array([20.0, 1.0, 0.283]), spec)
-        assert np.all(spec.constraints(x) >= 0)
+        assert np.all(suite._spring_g(x) >= 0)
         assert spec.objectives(x)[1] == 0.0
 
 
@@ -202,9 +202,8 @@ class TestSpeedReducer:
         assert f[1] == pytest.approx(1100.2, rel=1e-3)
 
     def test_gear_constraint_fixtures(self):
-        spec = speed_reducer()
         x = np.array([3.5, 0.7, 17.0, 8.0, 8.0, 3.4, 5.2])
-        g = spec.constraints(x)
+        g = suite._reducer_g(x)
         assert g[4] == pytest.approx(40 - 0.7 * 17, rel=1e-9)  # 28.1
         assert g[6] == pytest.approx(0.0, abs=1e-12)  # x1/x2 = 5 exactly on boundary
 
@@ -232,16 +231,15 @@ class TestCarSideImpact:
         v_fd = 16.45 - 0.489 - 0.843
         assert spec.objectives(x)[2] == pytest.approx(0.5 * (v_mbp + v_fd), rel=1e-9)
         # the velocity constraint mirrors the same expression
-        assert spec.constraints(x)[8] == pytest.approx(9.9 - v_mbp, rel=1e-9)
+        assert suite._car_g(x)[8] == pytest.approx(9.9 - v_mbp, rel=1e-9)
 
     def test_ten_constraints(self):
-        spec = car_side_impact()
-        assert spec.constraints(np.ones(7)).shape == (10,)
+        assert suite._car_g(np.ones(7)).shape == (10,)
 
     def test_feasible_point_scores_zero(self):
         spec = car_side_impact()
         x = np.array([1.5, 1.35, 0.5, 1.5, 2.625, 1.2, 1.2])
-        assert np.all(spec.constraints(x) >= 0)
+        assert np.all(suite._car_g(x) >= 0)
         assert spec.objectives(x)[3] == 0.0
 
 
@@ -304,6 +302,13 @@ class TestMergedReferenceFront:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             merged_reference_front([np.zeros((2, 2)), np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("first", [np.array([1.0, 2.0]), np.array(1.0)])
+    def test_non_matrix_front_rejected(self, first):
+        with pytest.raises(InvalidInputError):
+            merged_reference_front([first])
+        with pytest.raises(InvalidInputError):
+            merged_reference_front([np.zeros((2, 2)), first])
 
 
 class TestReferenceCsvLoader:
