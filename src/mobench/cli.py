@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import BrokenExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import EvaluationError, InvalidConfigError, InvalidInputError
@@ -33,25 +34,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each dest is a CampaignConfig field, and each default that field's default, so the
+    # flags fill the config by name; each metavar keeps the flag's own name in the help
     run_p = sub.add_parser("run", help="run a seeded multi-run campaign")
-    run_p.add_argument("--algo", required=True, choices=ALGORITHMS)
+    run_p.set_defaults(handler=_cmd_run, **{f.name: f.default for f in fields(CampaignConfig)})
+    run_p.add_argument("--algo", dest="algorithm", required=True, choices=ALGORITHMS)
     run_p.add_argument("--problem", required=True, help="registered problem name")
-    run_p.add_argument("--runs", type=int, default=30, help="independent runs (default 30)")
+    run_p.add_argument("--runs", type=int, help="independent runs (default %(default)s)")
+    run_p.add_argument("--generations", type=int, help="generations per run (default %(default)s)")
     run_p.add_argument(
-        "--generations", type=int, default=350, help="generations per run (default 350)"
+        "--pop", dest="population", metavar="POP", type=int,
+        help="population size (default %(default)s)",
     )
-    run_p.add_argument("--pop", type=int, default=100, help="population size (default 100)")
-    run_p.add_argument("--seed", type=int, default=1, help="base seed; run r uses seed+r")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--reference", default=None, help="reference front CSV")
-    run_p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
     run_p.add_argument(
-        "--gd-p", type=int, default=2, choices=(1, 2), help="GD exponent (default 2)"
+        "--seed", dest="base_seed", metavar="SEED", type=int, help="base seed; run r uses seed+r"
     )
+    run_p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
+    run_p.add_argument(
+        "--reference", dest="reference_path", metavar="REFERENCE", help="reference front CSV"
+    )
+    run_p.add_argument("--jobs", type=int, help="concurrent runs (default %(default)s)")
+    run_p.add_argument("--gd-p", type=int, choices=(1, 2), help="GD exponent (default %(default)s)")
 
-    sub.add_parser("problems", help="list registered problems")
+    sub.add_parser("problems", help="list registered problems").set_defaults(handler=_cmd_problems)
 
     score_p = sub.add_parser("score", help="score one front against a reference front")
+    score_p.set_defaults(handler=_cmd_score)
     score_p.add_argument("--front", required=True)
     score_p.add_argument("--reference", required=True)
     score_p.add_argument(
@@ -59,32 +69,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table_p = sub.add_parser("table", help="emit comparison tables from summaries")
+    table_p.set_defaults(handler=_cmd_table)
     table_p.add_argument("--in", dest="in_dir", required=True, help="campaign output directory")
     return parser
 
 
 def _cmd_run(args) -> int:
-    config = CampaignConfig(
-        algorithm=args.algo,
-        problem=args.problem,
-        out_dir=Path(args.out),
-        runs=args.runs,
-        base_seed=args.seed,
-        generations=args.generations,
-        population=args.pop,
-        reference_path=Path(args.reference) if args.reference else None,
-        jobs=args.jobs,
-        gd_p=args.gd_p,
-    )
+    config = CampaignConfig(**{f.name: getattr(args, f.name) for f in fields(CampaignConfig)})
     summary = run_campaign(config)
-    print(f"{args.algo} on {config.problem}: {args.runs} runs, {args.generations} generations")
+    print(
+        f"{config.algorithm} on {config.problem}: "
+        f"{config.runs} runs, {config.generations} generations"
+    )
     for row, value in summary["stats"].items():
         print(f"  {row:<8} {value:.6g}")
-    print(f"summary: {config.out_dir / f'summary_{args.algo}_{config.problem}.json'}")
+    print(f"summary: {config.summary_path}")
     return EXIT_OK
 
 
-def _cmd_problems() -> int:
+def _cmd_problems(args) -> int:
     for name in problem_names():
         spec = get_problem(name)
         print(f"{name:<18} n_vars={spec.n_vars:<3} n_objectives={spec.n_objectives}")
@@ -114,13 +117,7 @@ def _cmd_table(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "problems":
-            return _cmd_problems()
-        if args.command == "score":
-            return _cmd_score(args)
-        return _cmd_table(args)
+        return args.handler(args)
     except (InvalidConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

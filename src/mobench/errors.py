@@ -22,13 +22,7 @@ class InvalidStateError(RuntimeError):
 
 class EvaluationError(RuntimeError):
     """Raised when an objective evaluator misbehaves (non-finite output,
-    wrong arity). Carries the decision vector and the offending objective
-    index when known."""
-
-    def __init__(self, message, x=None, objective_index=None):
-        super().__init__(message)
-        self.x = x
-        self.objective_index = objective_index
+    wrong arity); the message names the row, the objective and ``x``."""
 
 
 class FrontFileError(OSError):

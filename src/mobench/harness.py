@@ -46,9 +46,9 @@ BUILDER_POPULATION = 100  # population and archive of the merged-reference runs
 # Summary fields that fix a campaign's budget; one table compares equal budgets only.
 BUDGET_KEYS = ("generations", "population", "runs", "gd_p", "reference_source")
 
-STAT_ROWS = ("Ave.GD", "Ave.MS", "Ave.RGD", "Ave.S", "Std.GD", "Std.MS", "Std.RGD", "Std.S", "PT")
-
 _METRIC_BY_ROW = {"GD": "gd", "MS": "max_spread", "RGD": "rgd", "S": "spacing"}
+
+STAT_ROWS = (*(f"{prefix}.{row}" for prefix in ("Ave", "Std") for row in _METRIC_BY_ROW), "PT")
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,14 @@ class CampaignConfig:
         # the engine's own checks, before any reference build starts
         engine_config(self.algorithm, self.population, self.generations, self.base_seed)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        if self.reference_path is not None:
-            object.__setattr__(self, "reference_path", Path(self.reference_path))
+        # an empty path, like an absent one, asks for the default reference
+        reference = Path(self.reference_path) if self.reference_path else None
+        object.__setattr__(self, "reference_path", reference)
+
+    @property
+    def summary_path(self) -> Path:
+        """Where :func:`run_campaign` writes the campaign's summary."""
+        return self.out_dir / f"summary_{self.algorithm}_{self.problem}.json"
 
 
 def engine_config(algorithm: str, population: int, generations: int, seed: int = 0):
@@ -171,15 +177,12 @@ def _stats_block(per_run: Sequence[dict]) -> dict[str, float]:
     """The summary's ``stats``, in :data:`STAT_ROWS` order: each Ave./Std.
     row is the mean or N-divisor standard deviation of one metric over the
     runs' score dicts, and ``PT`` is their total wall time."""
-    block: dict[str, float] = {}
-    for row in STAT_ROWS:
-        if row == "PT":
-            block[row] = sum(run["wall_ms"] for run in per_run)
-        else:
-            prefix, metric = row.split(".")
-            stat = np.mean if prefix == "Ave" else np.std  # np.std divides by N
-            block[row] = float(stat([run[_METRIC_BY_ROW[metric]] for run in per_run]))
-    return block
+    block = {
+        f"{prefix}.{row}": float(stat([run[metric] for run in per_run]))
+        for prefix, stat in (("Ave", np.mean), ("Std", np.std))  # np.std divides by N
+        for row, metric in _METRIC_BY_ROW.items()
+    }
+    return {**block, "PT": sum(run["wall_ms"] for run in per_run)}
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -187,8 +190,7 @@ def run_campaign(config: CampaignConfig) -> dict:
 
     Each run's front CSV and JSON are written as the run arrives, so a
     campaign that fails (say, a pool worker dies) keeps the runs before it.
-    Returns the summary dict (also written to
-    summary_<algorithm>_<problem>.json in the output directory).
+    Returns the summary dict, also written to ``config.summary_path``.
     """
     reference = resolve_reference(
         config.problem, path=config.reference_path, cache_dir=config.out_dir, jobs=config.jobs
@@ -219,8 +221,7 @@ def run_campaign(config: CampaignConfig) -> dict:
         "stats": _stats_block(per_run),
         "per_run": per_run,
     }
-    summary_path = config.out_dir / f"summary_{config.algorithm}_{config.problem}.json"
-    write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
+    write_atomic(config.summary_path, json.dumps(summary, indent=2) + "\n")
     return summary
 
 

@@ -46,6 +46,8 @@ class Discrete:
         if len(self.allowed) == 0:
             raise InvalidConfigError("discrete variable needs a non-empty value set")
         values = np.asarray(self.allowed, dtype=float)
+        if not np.isfinite(values).all():
+            raise InvalidConfigError(f"discrete value set {self.allowed} must be finite")
         if np.any(np.diff(values) <= 0):
             raise InvalidConfigError("discrete value set must be strictly ascending")
 
@@ -82,6 +84,10 @@ class ProblemSpec:
         if not lower.shape == upper.shape == (len(self.kinds),):
             raise InvalidConfigError("bounds must have one [lower, upper] pair per variable kind")
         for j, kind in enumerate(self.kinds):
+            if not (np.isfinite(lower[j]) and np.isfinite(upper[j])):
+                raise InvalidConfigError(
+                    f"variable {j}: bounds [{lower[j]}, {upper[j]}] must be finite"
+                )
             if isinstance(kind, Discrete):
                 if lower[j] != kind.allowed[0] or upper[j] != kind.allowed[-1]:
                     raise InvalidConfigError(
@@ -150,16 +156,12 @@ def evaluate(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     f = np.asarray(spec.objectives(x), dtype=float)
     expected = x.shape[:-1] + (spec.n_objectives,)
     if f.shape != expected:
-        raise EvaluationError(
-            f"{spec.name}: evaluator returned {f.shape}, expected {expected}", x=x
-        )
+        raise EvaluationError(f"{spec.name}: evaluator returned {f.shape}, expected {expected}")
     rows, cols = np.nonzero(~np.isfinite(np.atleast_2d(f)))
     if rows.size:
         row, bad = int(rows[0]), int(cols[0])
-        at = np.atleast_2d(x)[row]
         raise EvaluationError(
-            f"{spec.name}: objective {bad} of row {row} is non-finite at x={at!r}",
-            x=at,
-            objective_index=bad,
+            f"{spec.name}: objective {bad} of row {row} is non-finite"
+            f" at x={np.atleast_2d(x)[row]!r}"
         )
     return f

@@ -62,16 +62,23 @@ def write_front_csv(path, front: np.ndarray) -> None:
 def read_front_csv(path) -> np.ndarray:
     """Parse a front CSV; raises :class:`FrontFileError` on malformed files
     and on non-finite values (``nan``, ``inf``)."""
+    return _read_front(path)[0]
+
+
+def _read_front(path) -> tuple[np.ndarray, list[int]]:
+    """:func:`read_front_csv`'s front, and the file line number (the first
+    line is 1) of each of its rows; blank lines are skipped but counted."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FrontFileError(f"{path}: empty front file")
-    header = [c.strip() for c in lines[0].split(",")]
+    (_, head), *body = lines
+    header = [c.strip() for c in head.split(",")]
     if header != [f"f{k + 1}" for k in range(len(header))] or len(header) < 2:
-        raise FrontFileError(f"{path}: expected header f1,f2[,...], got {lines[0]!r}")
+        raise FrontFileError(f"{path}: expected header f1,f2[,...], got {head!r}")
     rows = []
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for ln_no, line in body:
         cells = line.split(",")
         if len(cells) != len(header):
             raise FrontFileError(f"{path}:{ln_no}: expected {len(header)} columns")
@@ -84,4 +91,4 @@ def read_front_csv(path) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise FrontFileError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float), [no for no, _ in body]

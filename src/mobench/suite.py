@@ -19,7 +19,7 @@ import numpy as np
 from .dominance import non_dominated
 from .errors import InvalidInputError
 from .problems import Continuous, Discrete, Integer, ProblemSpec
-from .results import read_front_csv
+from .results import _read_front
 
 # Allowed spring wire diameters, ascending.
 SPRING_WIRE_DIAMETERS = (
@@ -382,32 +382,30 @@ def _zdt6_f1_min() -> float:
 def analytic_reference_front(name: str, n_points: int = 1000) -> ReferenceFront:
     """Sample the true Pareto front of a ZDT problem.
 
-    ZDT1/ZDT4: f2 = 1 - sqrt(f1); ZDT2: f2 = 1 - f1^2 (f1 uniform on
-    [0, 1]). ZDT3 samples the non-dominated segments of its discontinuous
-    curve, and ZDT6 spans its attainable f1 range with f2 = 1 - f1^2.
+    ZDT1-ZDT4 evaluate the problem's own objectives at x1 uniform on
+    [0, 1] and x2..xn = 0, where g = 1; ZDT3 keeps the non-dominated
+    segments of its discontinuous curve. ZDT6 spans its attainable f1
+    range with f2 = 1 - f1^2.
     """
     key = name.lower()
     if key not in ZDT_NAMES:
         raise InvalidInputError(f"no analytic front for {name!r}")
     if n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
-    if key in ("zdt1", "zdt4"):
-        f1 = np.linspace(0.0, 1.0, n_points)
-        f2 = 1.0 - np.sqrt(f1)
-    elif key == "zdt2":
-        f1 = np.linspace(0.0, 1.0, n_points)
-        f2 = 1.0 - f1**2
-    elif key == "zdt6":
+    if key == "zdt6":
         f1 = np.linspace(_zdt6_f1_min(), 1.0, n_points)
-        f2 = 1.0 - f1**2
-    else:  # zdt3: keep the strictly-decreasing prefix minimum of the curve
-        grid = np.linspace(0.0, 1.0, max(50 * n_points, 50001))
-        curve = 1.0 - np.sqrt(grid) - grid * np.sin(10.0 * math.pi * grid)
+        return ReferenceFront(points=np.column_stack([f1, 1.0 - f1**2]), source="analytic")
+    # g = 1 wherever x2..xn = 0, for any n, so one zero column stands for them all
+    x = np.zeros((max(50 * n_points, 50001) if key == "zdt3" else n_points, 2))
+    x[:, 0] = np.linspace(0.0, 1.0, len(x))
+    points = _ZDT_TABLE[key][0](x)
+    if key == "zdt3":  # keep the strictly-decreasing prefix minimum of the curve
+        curve = points[:, 1]
         keep = curve < np.concatenate(([np.inf], np.minimum.accumulate(curve)[:-1]))
         kept = np.flatnonzero(keep)
-        pick = kept[np.unique(np.linspace(0, len(kept) - 1, n_points).round().astype(int))]
-        f1, f2 = grid[pick], curve[pick]
-    return ReferenceFront(points=np.column_stack([f1, f2]), source="analytic")
+        pick = np.unique(np.linspace(0, len(kept) - 1, n_points).round().astype(int))
+        points = points[kept[pick]]
+    return ReferenceFront(points=points, source="analytic")
 
 
 def merged_reference_front(fronts: Sequence[np.ndarray]) -> ReferenceFront:
@@ -431,10 +429,10 @@ def load_reference_csv(path) -> ReferenceFront:
     dropped with a warning that lists the offending file line numbers
     (the header is line 1), so each reference point counts once in RGD.
     """
-    F = read_front_csv(path)
+    F, line_numbers = _read_front(path)
     keep = non_dominated(F)
     if not keep.all():
-        lines = [int(i) + 2 for i in np.flatnonzero(~keep)]
+        lines = [line_numbers[i] for i in np.flatnonzero(~keep)]
         warnings.warn(
             f"{path}: dropped dominated or repeated reference rows at lines {lines}",
             stacklevel=2,

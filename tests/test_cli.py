@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mobench import harness
+from mobench import cli, harness
 from mobench.cli import main
-from mobench.harness import BUDGET_KEYS, STAT_ROWS
+from mobench.harness import BUDGET_KEYS, STAT_ROWS, CampaignConfig
 from mobench.results import write_front_csv
 
 _execute_run = harness._execute_run
@@ -158,6 +158,64 @@ def test_score_reports_metrics(tmp_path, capsys):
     assert main(["score", "--front", str(front), "--reference", str(reference)]) == 0
     out = capsys.readouterr().out
     assert "gd 0" in out and "max_spread" in out
+
+
+def _capture_configs(monkeypatch) -> list:
+    """Replace the CLI's ``run_campaign`` with one that records its config
+    and returns a summary with no statistics."""
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return {"stats": {}}
+
+    monkeypatch.setattr(cli, "run_campaign", record)
+    return configs
+
+
+def test_run_flags_fill_their_config_fields(tmp_path, capsys, monkeypatch):
+    configs = _capture_configs(monkeypatch)
+    out, reference = tmp_path / "out", tmp_path / "ref.csv"
+    code = main(
+        [
+            "run", "--algo", "molpb", "--problem", "zdt2", "--runs", "3",
+            "--generations", "7", "--pop", "14", "--seed", "5", "--out", str(out),
+            "--reference", str(reference), "--jobs", "2", "--gd-p", "1",
+        ]
+    )
+    assert code == 0
+    assert configs == [
+        CampaignConfig(
+            algorithm="molpb", problem="zdt2", out_dir=out, runs=3, base_seed=5,
+            generations=7, population=14, reference_path=reference, jobs=2, gd_p=1,
+        )
+    ]
+    assert capsys.readouterr().out == (
+        f"molpb on zdt2: 3 runs, 7 generations\nsummary: {out / 'summary_molpb_zdt2.json'}\n"
+    )
+
+
+def test_run_defaults_fill_the_config(tmp_path, capsys, monkeypatch):
+    configs = _capture_configs(monkeypatch)
+    assert main(["run", "--algo", "nsga2", "--problem", "zdt1", "--out", str(tmp_path)]) == 0
+    (config,) = configs
+    assert (config.algorithm, config.problem, config.out_dir) == ("nsga2", "zdt1", tmp_path)
+    assert (config.runs, config.generations, config.population, config.base_seed) == (
+        30, 350, 100, 1
+    )
+    assert (config.jobs, config.gd_p, config.reference_path) == (1, 2, None)
+
+
+def test_score_gd_p_selects_the_gd_exponent(tmp_path, capsys):
+    front, reference = tmp_path / "front.csv", tmp_path / "ref.csv"
+    write_front_csv(front, np.array([[0.0, 2.0], [2.0, 0.0]]))
+    write_front_csv(reference, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    args = ["score", "--front", str(front), "--reference", str(reference)]
+    # both members lie at distance 1: p = 1 gives (1 + 1)/2, p = 2 sqrt(1 + 1)/2
+    assert main(args + ["--gd-p", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "gd 1"
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"gd {2**0.5 / 2:.17g}"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -1,9 +1,8 @@
 """The trajectories stay bit for bit the same: ``tools/fingerprint.py``
 runs 62 seeded runs and its last line is the sha256 of their digests.
 
-A change that alters a trajectory on purpose (a new rng stream, say, as
-ROADMAP item 4 proposes) updates ``TOTAL`` and states the new total in
-CHANGES.md."""
+A change that alters a trajectory on purpose (a new rng stream, say)
+updates ``TOTAL`` and states the new total in CHANGES.md."""
 
 import subprocess
 import sys

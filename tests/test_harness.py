@@ -38,6 +38,12 @@ class TestFrontCsv:
         with pytest.raises(FrontFileError):
             read_front_csv(path)
 
+    def test_error_names_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("f1,f2\n\n1,2\nnan,3\n")
+        with pytest.raises(FrontFileError, match=r"front\.csv:4: non-finite"):
+            read_front_csv(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_front_csv(tmp_path / "absent.csv")

@@ -334,6 +334,13 @@ class TestReferenceCsvLoader:
             loaded = load_reference_csv(path)
         assert loaded.points.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
 
+    def test_warning_names_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("f1,f2\n\n0,1\n1,1\n")
+        with pytest.warns(UserWarning, match=r"lines \[4\]"):
+            loaded = load_reference_csv(path)
+        assert loaded.points.tolist() == [[0.0, 1.0]]
+
 
 def test_registry_contents():
     names = problem_names()
