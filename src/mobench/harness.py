@@ -138,7 +138,8 @@ def resolve_reference(
     builder runs go through :func:`_runs` with ``jobs``, which does not
     change the cache bytes. The cache is written atomically after the last
     run, so an interrupted build never leaves a cache that later calls
-    would trust.
+    would trust. A build needs ``builder_runs >= 1``, else
+    :class:`InvalidConfigError` before any run starts.
     """
     if path is not None:
         reference = load_reference_csv(path)
@@ -154,6 +155,8 @@ def resolve_reference(
         raise InvalidConfigError(
             f"{problem_name}: building a merged reference front needs a cache directory"
         )
+    if builder_runs < 1:
+        raise InvalidConfigError(f"builder_runs must be >= 1, got {builder_runs}")
     cache_dir = Path(cache_dir)
     cache_file = cache_dir / (
         f"reference_{problem_name.lower()}_r{builder_runs}_g{builder_generations}"

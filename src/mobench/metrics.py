@@ -86,11 +86,18 @@ def max_spread(front) -> float:
 
 
 def score_front(front, reference, gd_p: int = 2) -> IndicatorReport:
-    """All four indicators for one front against one reference front."""
-    return IndicatorReport(
-        gd=gd(front, reference, p=gd_p),
-        rgd=rgd(front, reference, p=gd_p),
-        spacing=spacing(front),
-        max_spread=max_spread(front),
-    )
+    """All four indicators for one front against one reference front; raises
+    :class:`FloatingPointError` naming the first one that is not finite (a
+    distance between far-apart finite points can overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = IndicatorReport(
+            gd=gd(front, reference, p=gd_p),
+            rgd=rgd(front, reference, p=gd_p),
+            spacing=spacing(front),
+            max_spread=max_spread(front),
+        )
+    for name, value in report.as_dict().items():
+        if not np.isfinite(value):
+            raise FloatingPointError(f"indicator {name} is not finite: {value}")
+    return report
 

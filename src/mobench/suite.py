@@ -1,9 +1,13 @@
 """Bundled benchmark problems and reference fronts.
 
 ZDT1-4 and ZDT6 (continuous, two objectives, no constraints) plus five
-constrained engineering design problems. Constrained problems expose one
-extra minimized objective equal to the total constraint violation, which
-is zero exactly on the feasible set.
+engineering design problems, all declared in one table, ``_PROBLEMS``,
+that maps each name to ``(objectives, n_objectives, lower, upper,
+kinds)``; :func:`get_problem` builds a fresh :class:`ProblemSpec` from a
+row. Every engineering problem but the four-bar truss has constraints
+beyond its bounds and exposes one extra minimized objective, last, equal
+to the total constraint violation, which is zero exactly on the feasible
+set. :func:`_with_violation` is the one place that appends it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +40,16 @@ def constraint_violation(g) -> np.ndarray:
     """Total violation of constraints stated as g_i >= 0, per row: the sum
     of max(-g_i, 0), so feasible points score exactly 0."""
     return np.maximum(-np.asarray(g, dtype=float), 0.0).sum(axis=-1)
+
+
+def _with_violation(objectives: Callable, g: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """The objectives of a constrained problem: the columns that
+    ``objectives(x)`` lists, then ``constraint_violation(g(x))`` last."""
+
+    def with_violation(x: np.ndarray) -> np.ndarray:
+        return np.stack([*objectives(x), constraint_violation(g(x))], axis=-1)
+
+    return with_violation
 
 
 # --------------------------------------------------------------------------
@@ -96,22 +109,6 @@ _ZDT_TABLE: dict[str, tuple[Callable, int, float, float]] = {
 ZDT_NAMES = tuple(_ZDT_TABLE)
 
 
-def zdt(name: str) -> ProblemSpec:
-    """Instantiate a ZDT benchmark by name (ZDT1-ZDT4, ZDT6)."""
-    key = name.lower()
-    if key not in _ZDT_TABLE:
-        raise InvalidInputError(f"unknown ZDT problem {name!r}")
-    obj, n, lo, hi = _ZDT_TABLE[key]
-    return ProblemSpec(
-        name=key,
-        n_objectives=2,
-        lower=np.r_[0.0, np.full(n - 1, lo)],
-        upper=np.r_[1.0, np.full(n - 1, hi)],
-        kinds=tuple(Continuous() for _ in range(n)),
-        objectives=obj,
-    )
-
-
 # --------------------------------------------------------------------------
 # Engineering design problems
 # --------------------------------------------------------------------------
@@ -120,6 +117,7 @@ _TRUSS_F = 10.0       # load, kN
 _TRUSS_E = 2.0e5      # elastic modulus, kN/cm^2
 _TRUSS_L = 200.0      # bar length, cm
 _TRUSS_SIGMA = 10.0   # stress bound
+_TRUSS_A = _TRUSS_F / _TRUSS_SIGMA  # smallest cross-section area
 
 
 def _truss_obj(x: np.ndarray) -> np.ndarray:
@@ -129,21 +127,6 @@ def _truss_obj(x: np.ndarray) -> np.ndarray:
         2.0 / x1 + 2.0 * math.sqrt(2.0) / x2 - 2.0 * math.sqrt(2.0) / x3 + 2.0 / x4
     )
     return np.stack([f1, f2], axis=-1)
-
-
-def four_bar_truss() -> ProblemSpec:
-    """Four-bar truss sizing: structural volume vs joint displacement."""
-    a = _TRUSS_F / _TRUSS_SIGMA
-    lower = np.array([a, math.sqrt(2.0) * a, math.sqrt(2.0) * a, a])
-    upper = np.array([3.0 * a, 3.0 * a, 3.0 * a, 3.0 * a])
-    return ProblemSpec(
-        name="four_bar_truss",
-        n_objectives=2,
-        lower=lower,
-        upper=upper,
-        kinds=tuple(Continuous() for _ in range(4)),
-        objectives=_truss_obj,
-    )
 
 
 def _vessel_g(x: np.ndarray) -> np.ndarray:
@@ -158,31 +141,15 @@ def _vessel_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def pressure_vessel() -> ProblemSpec:
-    """Cylindrical pressure vessel: fabrication cost vs constraint violation.
-
-    Shell and head thicknesses are integers in {1, ..., 100}; radius and
-    length are continuous.
-    """
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4 = x.T
-        f1 = (
-            0.6224 * x1 * x3 * x4
-            + 1.7781 * x2 * x3**2
-            + 3.1661 * x1**2 * x4
-            + 19.84 * x1**2 * x3
-        )
-        return np.stack([f1, constraint_violation(_vessel_g(x))], axis=-1)
-
-    return ProblemSpec(
-        name="pressure_vessel",
-        n_objectives=2,
-        lower=np.array([1.0, 1.0, 10.0, 10.0]),
-        upper=np.array([100.0, 100.0, 200.0, 240.0]),
-        kinds=(Integer(), Integer(), Continuous(), Continuous()),
-        objectives=objectives,
+def _vessel_obj(x: np.ndarray) -> list[np.ndarray]:
+    x1, x2, x3, x4 = x.T
+    f1 = (
+        0.6224 * x1 * x3 * x4
+        + 1.7781 * x2 * x3**2
+        + 3.1661 * x1**2 * x4
+        + 19.84 * x1**2 * x3
     )
+    return [f1]
 
 
 _SPRING_F_MAX = 1000.0     # highest working load, lb
@@ -194,6 +161,12 @@ _SPRING_F_P = 300.0        # preload compression force, lb
 _SPRING_SIGMA_PM = 6.0     # allowable deflection under preload, inch
 _SPRING_SIGMA_W = 1.25     # deflection from preload to full load, inch
 _SPRING_G = 11.5e6         # shear modulus
+
+
+def _spring_obj(x: np.ndarray) -> list[np.ndarray]:
+    x1, x2, x3 = x.T
+    f1 = math.pi**2 * x2 * x3**2 * (x1 + 2.0) / 4.0
+    return [f1]
 
 
 def _spring_g(x: np.ndarray) -> np.ndarray:
@@ -216,32 +189,20 @@ def _spring_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def coil_spring() -> ProblemSpec:
-    """Coil compression spring: wire volume vs constraint violation.
-
-    Mixed variables: integer coil count, continuous exterior diameter, and
-    wire diameter restricted to the catalogue of allowable sizes.
-    """
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = x.T
-        f1 = math.pi**2 * x2 * x3**2 * (x1 + 2.0) / 4.0
-        return np.stack([f1, constraint_violation(_spring_g(x))], axis=-1)
-
-    table = SPRING_WIRE_DIAMETERS
-    return ProblemSpec(
-        name="coil_spring",
-        n_objectives=2,
-        lower=np.array([1.0, 0.6, table[0]]),
-        upper=np.array([70.0, 30.0, table[-1]]),
-        kinds=(Integer(), Continuous(), Discrete(table)),
-        objectives=objectives,
-    )
-
-
 def _reducer_f2(x: np.ndarray) -> np.ndarray:
     x2, x3, x4, x6 = x[..., 1], x[..., 2], x[..., 3], x[..., 5]
     return np.sqrt((745.0 * x4 / (x2 * x3)) ** 2 + 1.69e7) / (0.1 * x6**3)
+
+
+def _reducer_obj(x: np.ndarray) -> list[np.ndarray]:
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    f1 = (
+        0.7854 * x1 * x2**2 * (10.0 * x3**2 / 3.0 + 14.933 * x3 - 43.0934)
+        - 1.508 * x1 * (x6**2 + x7**2)
+        + 7.477 * (x6**3 + x7**3)
+        + 0.7854 * (x4 * x6**2 + x5 * x7**2)
+    )
+    return [f1, _reducer_f2(x)]
 
 
 def _reducer_g(x: np.ndarray) -> np.ndarray:
@@ -261,39 +222,6 @@ def _reducer_g(x: np.ndarray) -> np.ndarray:
             1100.0 - np.sqrt((745.0 * x5 / (x2 * x3)) ** 2 + 1.575e8) / (0.1 * x7**3),
         ],
         axis=-1,
-    )
-
-
-def speed_reducer() -> ProblemSpec:
-    """Gearbox design: volume, shaft stress, and constraint violation."""
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4, x5, x6, x7 = x.T
-        f1 = (
-            0.7854 * x1 * x2**2 * (10.0 * x3**2 / 3.0 + 14.933 * x3 - 43.0934)
-            - 1.508 * x1 * (x6**2 + x7**2)
-            + 7.477 * (x6**3 + x7**3)
-            + 0.7854 * (x4 * x6**2 + x5 * x7**2)
-        )
-        return np.stack(
-            [f1, _reducer_f2(x), constraint_violation(_reducer_g(x))], axis=-1
-        )
-
-    return ProblemSpec(
-        name="speed_reducer",
-        n_objectives=3,
-        lower=np.array([2.6, 0.7, 17.0, 7.8, 7.8, 2.9, 5.0]),
-        upper=np.array([3.6, 0.8, 28.0, 8.3, 8.3, 3.9, 5.5]),
-        kinds=(
-            Continuous(),
-            Continuous(),
-            Integer(),
-            Continuous(),
-            Continuous(),
-            Continuous(),
-            Continuous(),
-        ),
-        objectives=objectives,
     )
 
 
@@ -331,27 +259,78 @@ def _car_g(x: np.ndarray) -> np.ndarray:
     )
 
 
-def car_side_impact() -> ProblemSpec:
-    """Car side-impact structure: mass, pubic force, pillar velocity, and
-    constraint violation (four objectives)."""
-
-    def objectives(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4, x5, x6, x7 = x.T
-        f1 = (
-            1.98 + 4.9 * x1 + 6.67 * x2 + 6.98 * x3 + 4.01 * x4
-            + 1.78 * x5 + 1e-5 * x6 + 2.73 * x7
-        )
-        f3 = 0.5 * (_car_v_mbp(x) + _car_v_fd(x))
-        return np.stack([f1, _car_f2(x), f3, constraint_violation(_car_g(x))], axis=-1)
-
-    return ProblemSpec(
-        name="car_side_impact",
-        n_objectives=4,
-        lower=np.array([0.5, 0.45, 0.5, 0.5, 0.875, 0.4, 0.4]),
-        upper=np.array([1.5, 1.35, 1.5, 1.5, 2.625, 1.2, 1.2]),
-        kinds=tuple(Continuous() for _ in range(7)),
-        objectives=objectives,
+def _car_obj(x: np.ndarray) -> list[np.ndarray]:
+    x1, x2, x3, x4, x5, x6, x7 = x.T
+    f1 = (
+        1.98 + 4.9 * x1 + 6.67 * x2 + 6.98 * x3 + 4.01 * x4
+        + 1.78 * x5 + 1e-5 * x6 + 2.73 * x7
     )
+    f3 = 0.5 * (_car_v_mbp(x) + _car_v_fd(x))
+    return [f1, _car_f2(x), f3]
+
+
+# --------------------------------------------------------------------------
+# Registry
+# --------------------------------------------------------------------------
+# name -> (objectives, n_objectives, lower, upper, kinds). Bounds are tuples,
+# so every spec that get_problem builds from a row owns its bound arrays.
+
+_PROBLEMS: dict[str, tuple[Callable, int, tuple, tuple, tuple]] = {
+    **{
+        name: (obj, 2, (0.0,) + (lo,) * (n - 1), (1.0,) + (hi,) * (n - 1), (Continuous(),) * n)
+        for name, (obj, n, lo, hi) in _ZDT_TABLE.items()
+    },
+    # four-bar truss sizing: structural volume, joint displacement
+    "four_bar_truss": (
+        _truss_obj, 2,
+        (_TRUSS_A, math.sqrt(2.0) * _TRUSS_A, math.sqrt(2.0) * _TRUSS_A, _TRUSS_A),
+        (3.0 * _TRUSS_A,) * 4, (Continuous(),) * 4,
+    ),
+    # cylindrical pressure vessel: fabrication cost, violation; the shell and
+    # head thicknesses are integers in {1, ..., 100}, radius and length continuous
+    "pressure_vessel": (
+        _with_violation(_vessel_obj, _vessel_g), 2,
+        (1.0, 1.0, 10.0, 10.0), (100.0, 100.0, 200.0, 240.0),
+        (Integer(), Integer(), Continuous(), Continuous()),
+    ),
+    # coil compression spring: wire volume, violation; an integer coil count,
+    # a continuous exterior diameter and a wire diameter from the catalogue
+    "coil_spring": (
+        _with_violation(_spring_obj, _spring_g), 2,
+        (1.0, 0.6, SPRING_WIRE_DIAMETERS[0]), (70.0, 30.0, SPRING_WIRE_DIAMETERS[-1]),
+        (Integer(), Continuous(), Discrete(SPRING_WIRE_DIAMETERS)),
+    ),
+    # gearbox design: volume, shaft stress, violation; the tooth count x3 is an integer
+    "speed_reducer": (
+        _with_violation(_reducer_obj, _reducer_g), 3,
+        (2.6, 0.7, 17.0, 7.8, 7.8, 2.9, 5.0), (3.6, 0.8, 28.0, 8.3, 8.3, 3.9, 5.5),
+        (Continuous(), Continuous(), Integer()) + (Continuous(),) * 4,
+    ),
+    # car side-impact structure: mass, pubic force, mean pillar velocity, violation
+    "car_side_impact": (
+        _with_violation(_car_obj, _car_g), 4,
+        (0.5, 0.45, 0.5, 0.5, 0.875, 0.4, 0.4), (1.5, 1.35, 1.5, 1.5, 2.625, 1.2, 1.2),
+        (Continuous(),) * 7,
+    ),
+}
+
+
+def problem_names() -> list[str]:
+    return sorted(_PROBLEMS)
+
+
+def get_problem(name: str) -> ProblemSpec:
+    key = name.lower()
+    if key not in _PROBLEMS:
+        raise InvalidInputError(
+            f"unknown problem {name!r}; available: {', '.join(problem_names())}"
+        )
+    objectives, n_objectives, lower, upper, kinds = _PROBLEMS[key]
+    return ProblemSpec(key, n_objectives, lower, upper, kinds, objectives)
+
+
+def is_zdt(name: str) -> bool:
+    return name.lower() in ZDT_NAMES
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +377,7 @@ def analytic_reference_front(name: str, n_points: int = 1000) -> ReferenceFront:
     # g = 1 wherever x2..xn = 0, for any n, so one zero column stands for them all
     x = np.zeros((max(50 * n_points, 50001) if key == "zdt3" else n_points, 2))
     x[:, 0] = np.linspace(0.0, 1.0, len(x))
-    points = _ZDT_TABLE[key][0](x)
+    points = _PROBLEMS[key][0](x)
     if key == "zdt3":  # keep the strictly-decreasing prefix minimum of the curve
         curve = points[:, 1]
         keep = curve < np.concatenate(([np.inf], np.minimum.accumulate(curve)[:-1]))
@@ -439,34 +418,3 @@ def load_reference_csv(path) -> ReferenceFront:
         )
         F = F[keep]
     return ReferenceFront(points=F, source="file")
-
-
-# --------------------------------------------------------------------------
-# Registry
-# --------------------------------------------------------------------------
-
-_FACTORIES: dict[str, Callable[[], ProblemSpec]] = {
-    **{name: partial(zdt, name) for name in ZDT_NAMES},
-    "four_bar_truss": four_bar_truss,
-    "pressure_vessel": pressure_vessel,
-    "coil_spring": coil_spring,
-    "speed_reducer": speed_reducer,
-    "car_side_impact": car_side_impact,
-}
-
-
-def problem_names() -> list[str]:
-    return sorted(_FACTORIES)
-
-
-def get_problem(name: str) -> ProblemSpec:
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise InvalidInputError(
-            f"unknown problem {name!r}; available: {', '.join(problem_names())}"
-        )
-    return _FACTORIES[key]()
-
-
-def is_zdt(name: str) -> bool:
-    return name.lower() in ZDT_NAMES

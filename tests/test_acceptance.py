@@ -17,15 +17,7 @@ from mobench.metrics import gd, max_spread, rgd, spacing
 from mobench.molpb import MolpbConfig, MolpbEngine
 from mobench.nsga2 import Nsga2Config, Nsga2Engine
 from mobench.problems import decode, evaluate
-from mobench.suite import (
-    analytic_reference_front,
-    car_side_impact,
-    coil_spring,
-    four_bar_truss,
-    pressure_vessel,
-    speed_reducer,
-    zdt,
-)
+from mobench.suite import analytic_reference_front, get_problem
 
 from oracles import (
     gd_oracle,
@@ -47,7 +39,7 @@ def verdict(number, ok, detail):
 
 
 def mean_gd(engine_cls, config_cls, problem_name, runs=RUNS):
-    problem = zdt(problem_name)
+    problem = get_problem(problem_name)
     reference = analytic_reference_front(problem_name, 1000).points
     values = []
     for seed in range(1, runs + 1):
@@ -95,7 +87,7 @@ def test_criterion_3_zdt2_and_zdt6_molpb():
 
 
 def test_criterion_4_zdt4_molpb_beats_random_tenfold():
-    problem = zdt("zdt4")
+    problem = get_problem("zdt4")
     reference = analytic_reference_front("zdt4", 1000).points
     budget = POPULATION + GENERATIONS * 140
     molpb_values = []
@@ -193,16 +185,20 @@ def test_criterion_7_archive_torture():
 
 def test_criterion_8_engineering_fixtures():
     start = time.perf_counter()
-    truss = four_bar_truss().objectives(np.array([1.0, math.sqrt(2), math.sqrt(2), 1.0]))
+    truss = get_problem("four_bar_truss").objectives(
+        np.array([1.0, math.sqrt(2), math.sqrt(2), 1.0])
+    )
     truss_exact = (200 * (2 + 2 + 2**0.25 + 1), 0.04)
-    vessel = pressure_vessel().objectives(np.array([1.0, 1.0, 10.0, 10.0]))
+    vessel = get_problem("pressure_vessel").objectives(np.array([1.0, 1.0, 10.0, 10.0]))
     vessel_f1_exact = 0.6224 * 100 + 1.7781 * 100 + 3.1661 * 10 + 19.84 * 10
     vessel_violation_exact = 1296000 - (math.pi * 1000 + (4.0 / 3.0) * math.pi * 1000)
-    reducer = speed_reducer().objectives(np.array([3.0, 0.7, 17.0, 7.3, 7.9, 3.35, 5.2]))
+    reducer = get_problem("speed_reducer").objectives(
+        np.array([3.0, 0.7, 17.0, 7.3, 7.9, 3.35, 5.2])
+    )
     reducer_f2_exact = math.sqrt((745 * 7.3 / (0.7 * 17)) ** 2 + 1.69e7) / (0.1 * 3.35**3)
-    car = car_side_impact().objectives(np.ones(7))
+    car = get_problem("car_side_impact").objectives(np.ones(7))
     v_mbp = 10.58 - 0.674 - 0.67275
-    spring = coil_spring().objectives(np.array([10.0, 1.0, 0.1]))
+    spring = get_problem("coil_spring").objectives(np.array([10.0, 1.0, 0.1]))
     spring_f1_exact = math.pi**2 * 1.0 * 0.1**2 * 12 / 4
 
     checks = [
@@ -277,7 +273,7 @@ def test_criterion_10_generation_cost_scales_quadratically():
             max_generations=0,
             seed=13,
         )
-        engine = MolpbEngine(config, zdt("zdt1"))
+        engine = MolpbEngine(config, get_problem("zdt1"))
         engine.initialize()
         engine.step()  # warmup
         samples = []

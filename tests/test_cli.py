@@ -218,6 +218,17 @@ def test_score_gd_p_selects_the_gd_exponent(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == f"gd {2**0.5 / 2:.17g}"
 
 
+def test_score_overflowing_indicator_exits_4(tmp_path, capsys):
+    front, reference = tmp_path / "front.csv", tmp_path / "ref.csv"
+    write_front_csv(front, np.array([[1e308, -1e308], [-1e308, 1e308]]))
+    write_front_csv(reference, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    code = main(["score", "--front", str(front), "--reference", str(reference)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "indicator gd is not finite" in captured.err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("bad_file", ["front", "reference"])
 def test_score_non_finite_value_exits_3(tmp_path, capsys, cell, bad_file):

@@ -12,7 +12,7 @@ from mobench.dominance import non_dominated_sort
 from mobench.errors import InvalidStateError
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
-from mobench.suite import car_side_impact, coil_spring, zdt
+from mobench.suite import get_problem
 
 from oracles import (
     distinct_non_dominated_python,
@@ -28,7 +28,7 @@ def test_stored_genotype_is_decoded(algorithm):
     # the population holds decoded vectors, which SBX and mutation then
     # perturb; every stored row is already a legal decision vector
     engine_cls, config_cls = ENGINES[algorithm]
-    problem = coil_spring()
+    problem = get_problem("coil_spring")
     engine = engine_cls(config_cls(n_pop=16, seed=2), problem)
     engine.initialize()
     for _ in range(3):
@@ -42,7 +42,7 @@ def test_an_engine_runs_once(algorithm):
     # a second run would continue the first one's population, archive and
     # counters, so it is refused, and the first result stands
     engine_cls, config_cls = ENGINES[algorithm]
-    engine = engine_cls(config_cls(seed=1, max_generations=5), zdt("zdt1"))
+    engine = engine_cls(config_cls(seed=1, max_generations=5), get_problem("zdt1"))
     result = engine.run()
     assert (result.generations, result.evaluations) == (5, 800)
     for again in (engine.run, engine.initialize):
@@ -56,7 +56,7 @@ def test_step_before_initialize_is_refused(algorithm):
     # without a population there is nothing to mate; the refusal comes
     # before any draw, so the engine is left as it was made
     engine_cls, config_cls = ENGINES[algorithm]
-    engine = engine_cls(config_cls(seed=1), zdt("zdt1"))
+    engine = engine_cls(config_cls(seed=1), get_problem("zdt1"))
     state = engine.rng.bit_generator.state
     with pytest.raises(InvalidStateError, match="initialize"):
         engine.step()
@@ -70,7 +70,7 @@ def test_population_is_stored_best_first(algorithm):
     # never decrease down the rows; on zdt4 the population keeps several
     # fronts for many generations
     engine_cls, config_cls = ENGINES[algorithm]
-    engine = engine_cls(config_cls(n_pop=20, seed=3), zdt("zdt4"))
+    engine = engine_cls(config_cls(n_pop=20, seed=3), get_problem("zdt4"))
     engine.initialize()
     ranks = [non_dominated_sort(engine.F)]
     for _ in range(10):
@@ -93,7 +93,7 @@ def test_one_archive_offer_per_generation_of_its_own_rows(algorithm, monkeypatch
 
     monkeypatch.setattr(ParetoArchive, "insert", recording_insert)
     engine_cls, config_cls = ENGINES[algorithm]
-    engine = engine_cls(config_cls(n_pop=20, seed=4), zdt("zdt1"))
+    engine = engine_cls(config_cls(n_pop=20, seed=4), get_problem("zdt1"))
     evaluate = engine._evaluate
 
     def recording_evaluate(rows):
@@ -124,7 +124,13 @@ def on_grid(problem, step):
 
 
 @pytest.mark.parametrize(
-    "problem", [zdt("zdt1"), car_side_impact(), on_grid(car_side_impact(), 0.1)], ids=lambda p: p.name
+    "problem",
+    [
+        get_problem("zdt1"),
+        get_problem("car_side_impact"),
+        on_grid(get_problem("car_side_impact"), 0.1),
+    ],
+    ids=lambda p: p.name,
 )
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monkeypatch):
@@ -157,10 +163,10 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
 @pytest.mark.parametrize(
     "algorithm, problem",
     [
-        ("molpb", zdt("zdt1")),
-        ("nsga2", coil_spring()),
-        ("nsga2", car_side_impact()),
-        ("molpb", on_grid(car_side_impact(), 0.1)),
+        ("molpb", get_problem("zdt1")),
+        ("nsga2", get_problem("coil_spring")),
+        ("nsga2", get_problem("car_side_impact")),
+        ("molpb", on_grid(get_problem("car_side_impact"), 0.1)),
     ],
     ids=["zdt1-molpb", "coil_spring-nsga2", "car_side_impact-nsga2", "car_side_impact_grid-molpb"],
 )

@@ -172,6 +172,16 @@ class TestResolveReference:
             resolve_reference("coil_spring", cache_dir=tmp_path / f"j{jobs}", jobs=jobs, **small)
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_builder_runs_below_one_rejected_before_any_run(self, tmp_path, monkeypatch, jobs):
+        def refuse(*args):
+            raise AssertionError("no builder run may start")
+
+        monkeypatch.setattr(harness, "_execute_run", refuse)
+        with pytest.raises(InvalidConfigError, match="builder_runs must be >= 1, got 0"):
+            resolve_reference("coil_spring", cache_dir=tmp_path, builder_runs=0, jobs=jobs)
+        assert list(tmp_path.iterdir()) == []
+
     def test_engineering_without_cache_dir_rejected(self):
         with pytest.raises(InvalidConfigError):
             resolve_reference("pressure_vessel")

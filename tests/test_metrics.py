@@ -123,3 +123,10 @@ def test_score_front_bundles_all_four():
     assert report.gd == 0.0 and report.rgd == 0.0
     assert report.spacing == pytest.approx(0.0, abs=1e-15)
     assert report.max_spread == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_score_front_refuses_a_non_finite_indicator():
+    # finite points so far apart that every distance overflows to inf
+    front = [(1e308, -1e308), (-1e308, 1e308)]
+    with pytest.raises(FloatingPointError, match="indicator gd is not finite: inf"):
+        score_front(front, [(0, 1), (1, 0)])

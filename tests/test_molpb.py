@@ -17,7 +17,7 @@ from mobench.molpb import (
     split_good_bad,
 )
 from mobench.operators import DISTRIBUTION_INDEX, MUTATION_PROB
-from mobench.suite import analytic_reference_front, coil_spring, zdt
+from mobench.suite import analytic_reference_front, get_problem
 
 from oracles import dominates_scalar, non_dominated_mask_python
 
@@ -136,7 +136,7 @@ class TestRouteMain:
 
 class TestEngine:
     def test_initialize_is_seed_deterministic(self):
-        problem = zdt("zdt1")
+        problem = get_problem("zdt1")
         e1 = MolpbEngine(MolpbConfig(n_pop=20, seed=5, max_generations=0), problem)
         e2 = MolpbEngine(MolpbConfig(n_pop=20, seed=5, max_generations=0), problem)
         e1.initialize()
@@ -144,7 +144,7 @@ class TestEngine:
         assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.F, e2.F)
 
     def test_different_seeds_differ(self):
-        problem = zdt("zdt1")
+        problem = get_problem("zdt1")
         e1 = MolpbEngine(MolpbConfig(n_pop=20, seed=5), problem)
         e2 = MolpbEngine(MolpbConfig(n_pop=20, seed=6), problem)
         e1.initialize()
@@ -152,13 +152,13 @@ class TestEngine:
         assert not np.array_equal(e1.X, e2.X)
 
     def test_initial_population_within_bounds(self):
-        problem = zdt("zdt4")
+        problem = get_problem("zdt4")
         engine = MolpbEngine(MolpbConfig(n_pop=30, seed=1), problem)
         engine.initialize()
         assert np.all(engine.X >= problem.lower) and np.all(engine.X <= problem.upper)
 
     def test_population_size_invariant(self):
-        engine = MolpbEngine(MolpbConfig(n_pop=24, seed=2), zdt("zdt1"))
+        engine = MolpbEngine(MolpbConfig(n_pop=24, seed=2), get_problem("zdt1"))
         engine.initialize()
         for _ in range(5):
             engine.step()
@@ -166,14 +166,14 @@ class TestEngine:
 
     def test_evaluations_per_generation_equal_offspring_count(self):
         cfg = MolpbConfig(n_pop=24, seed=3)
-        engine = MolpbEngine(cfg, zdt("zdt1"))
+        engine = MolpbEngine(cfg, get_problem("zdt1"))
         engine.initialize()
         before = engine.evaluations
         engine.step()
         assert engine.evaluations - before == cfg.offspring_count
 
     def test_archive_mutually_non_dominated_each_generation(self):
-        engine = MolpbEngine(MolpbConfig(n_pop=20, seed=4), zdt("zdt2"))
+        engine = MolpbEngine(MolpbConfig(n_pop=20, seed=4), get_problem("zdt2"))
         engine.initialize()
         for _ in range(5):
             engine.step()
@@ -183,7 +183,7 @@ class TestEngine:
                     assert i == j or not dominates_scalar(F[i], F[j])
 
     def test_all_evaluated_solutions_respect_bounds_and_kinds(self):
-        base = coil_spring()
+        base = get_problem("coil_spring")
         seen = []
 
         def recording(X):
@@ -204,7 +204,7 @@ class TestEngine:
             assert x[2] in SPRING_WIRE_DIAMETERS
 
     def test_zero_generations_archive_is_initial_front(self):
-        problem = zdt("zdt3")
+        problem = get_problem("zdt3")
         result = run(MolpbConfig(n_pop=30, seed=6, max_generations=0), problem)
         engine = MolpbEngine(MolpbConfig(n_pop=30, seed=6), problem)
         engine.initialize()
@@ -215,7 +215,7 @@ class TestEngine:
 
     def test_run_is_bitwise_reproducible(self):
         cfg = MolpbConfig(n_pop=20, seed=7, max_generations=8)
-        e1, e2 = MolpbEngine(cfg, zdt("zdt1")), MolpbEngine(cfg, zdt("zdt1"))
+        e1, e2 = MolpbEngine(cfg, get_problem("zdt1")), MolpbEngine(cfg, get_problem("zdt1"))
         r1, r2 = e1.run(), e2.run()
         assert np.array_equal(r1.front, r2.front)
         assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.F, e2.F)
@@ -227,7 +227,7 @@ class TestEngine:
         # good half's second part mates with bad-half partners instead
         monkeypatch.setattr(molpb, "filter_main", lambda F, best: np.array([], dtype=int))
         cfg = MolpbConfig(n_pop=7, offspring_count=4, seed=9, max_generations=3)
-        engine = MolpbEngine(cfg, zdt("zdt1"))
+        engine = MolpbEngine(cfg, get_problem("zdt1"))
         engine.initialize()
         separated = copy.deepcopy(engine.rng).permutation(7)[:4]
         a, b = engine.mating()
@@ -242,7 +242,7 @@ class TestEngine:
         # over a full-length seeded run the elitist archive only loses
         # ground through crowding truncation, so GD almost always improves
         reference = analytic_reference_front("zdt1", 500).points
-        engine = MolpbEngine(MolpbConfig(seed=3), zdt("zdt1"))
+        engine = MolpbEngine(MolpbConfig(seed=3), get_problem("zdt1"))
         engine.initialize()
         values = [gd(engine.archive.objectives(), reference)]
         for _ in range(350):

@@ -4,7 +4,7 @@ import pytest
 from mobench.dominance import crowded_order, rank_and_crowd
 from mobench.errors import InvalidConfigError
 from mobench.nsga2 import Nsga2Config, Nsga2Engine
-from mobench.suite import zdt
+from mobench.suite import get_problem
 
 from oracles import dominates_scalar, non_dominated_mask_python
 
@@ -27,7 +27,7 @@ class TestConfig:
 
 class TestGeneration:
     def test_population_size_constant(self):
-        engine = Nsga2Engine(Nsga2Config(n_pop=24, seed=0), zdt("zdt1"))
+        engine = Nsga2Engine(Nsga2Config(n_pop=24, seed=0), get_problem("zdt1"))
         engine.initialize()
         for _ in range(5):
             engine.step()
@@ -35,7 +35,7 @@ class TestGeneration:
 
     def test_merged_set_grows_by_offspring_count(self):
         cfg = Nsga2Config(n_pop=24, seed=1)
-        engine = Nsga2Engine(cfg, zdt("zdt1"))
+        engine = Nsga2Engine(cfg, get_problem("zdt1"))
         engine.initialize()
         before = engine.evaluations
         engine.step()
@@ -68,7 +68,7 @@ class TestGeneration:
                 # [first contestants, second contestants], each [parent a, parent b]
                 return np.array([[[0, 3], [1, 5]], [[1, 1], [2, 4]]]).reshape(size)
 
-        engine = Nsga2Engine(Nsga2Config(n_pop=6, offspring_count=4, seed=0), zdt("zdt1"))
+        engine = Nsga2Engine(Nsga2Config(n_pop=6, offspring_count=4, seed=0), get_problem("zdt1"))
         engine.initialize()
         engine.rng = Draws()
         a, b = engine.mating()
@@ -76,7 +76,7 @@ class TestGeneration:
         assert b.tolist() == [1, 4]  # 1 vs 2, 5 vs 4
 
     def test_archive_mutually_non_dominated(self):
-        engine = Nsga2Engine(Nsga2Config(n_pop=20, seed=3), zdt("zdt2"))
+        engine = Nsga2Engine(Nsga2Config(n_pop=20, seed=3), get_problem("zdt2"))
         engine.initialize()
         for _ in range(5):
             engine.step()
@@ -89,13 +89,13 @@ class TestGeneration:
 class TestRun:
     def test_seed_determinism(self):
         cfg = Nsga2Config(n_pop=20, seed=4, max_generations=8)
-        e1, e2 = Nsga2Engine(cfg, zdt("zdt1")), Nsga2Engine(cfg, zdt("zdt1"))
+        e1, e2 = Nsga2Engine(cfg, get_problem("zdt1")), Nsga2Engine(cfg, get_problem("zdt1"))
         r1, r2 = e1.run(), e2.run()
         assert np.array_equal(r1.front, r2.front)
         assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.F, e2.F)
 
     def test_zero_generations_archive_is_initial_front(self):
-        problem = zdt("zdt6")
+        problem = get_problem("zdt6")
         result = run(Nsga2Config(n_pop=25, seed=5, max_generations=0), problem)
         engine = Nsga2Engine(Nsga2Config(n_pop=25, seed=5), problem)
         engine.initialize()
@@ -106,7 +106,7 @@ class TestRun:
 
     def test_result_metadata(self):
         cfg = Nsga2Config(n_pop=16, seed=6, max_generations=3)
-        result = run(cfg, zdt("zdt1"))
+        result = run(cfg, get_problem("zdt1"))
         assert result.algorithm == "nsga2"
         assert result.problem == "zdt1"
         assert result.seed == 6

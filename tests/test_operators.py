@@ -9,7 +9,7 @@ from mobench import molpb, operators
 from mobench.engine import EngineConfig
 from mobench.errors import InvalidConfigError
 from mobench.operators import polynomial_mutation, sbx_crossover
-from mobench.suite import zdt
+from mobench.suite import get_problem
 
 from oracles import polynomial_mutation_dense
 
@@ -40,7 +40,7 @@ def separated_size(n_pop: int) -> int:
         sizes.append(len(F))
         return original(F)
 
-    engine = molpb.MolpbEngine(molpb.MolpbConfig(n_pop=n_pop, seed=n_pop), zdt("zdt1"))
+    engine = molpb.MolpbEngine(molpb.MolpbConfig(n_pop=n_pop, seed=n_pop), get_problem("zdt1"))
     engine.initialize()
     molpb.split_good_bad = spy
     try:

@@ -14,7 +14,7 @@ from mobench.problems import (
     decode,
     evaluate,
 )
-from mobench.suite import SPRING_WIRE_DIAMETERS, coil_spring, get_problem, problem_names, zdt
+from mobench.suite import SPRING_WIRE_DIAMETERS, get_problem, problem_names
 
 
 def make_mixed_spec():
@@ -114,7 +114,7 @@ class TestDecode:
 
     def test_discrete_snaps_to_nearest_table_value(self):
         # |0.05 - 0.047| = 0.003 beats |0.05 - 0.054| = 0.004
-        spec = coil_spring()
+        spec = get_problem("coil_spring")
         out = decode(np.array([10.0, 1.0, 0.05]), spec)
         assert out[2] == 0.047
 
@@ -162,25 +162,25 @@ class TestDecode:
 
 class TestEvaluate:
     def test_zdt1_all_zeros(self):
-        spec = zdt("ZDT1")
+        spec = get_problem("ZDT1")
         f = evaluate(spec, np.zeros(30))
         assert f.shape == (2,)
         assert np.allclose(f, [0.0, 1.0], atol=1e-12)
 
     def test_zdt1_unit_first_variable(self):
-        spec = zdt("ZDT1")
+        spec = get_problem("ZDT1")
         f = evaluate(spec, np.array([1.0] + [0.0] * 29))
         assert np.allclose(f, [1.0, 0.0], atol=1e-12)
 
     def test_zdt1_hand_derived_point(self):
-        spec = zdt("ZDT1")
+        spec = get_problem("ZDT1")
         x = np.array([0.25] + [0.5] * 29)
         g = 1 + 9 * 14.5 / 29
         expected = np.array([0.25, g * (1 - math.sqrt(0.25 / g))])
         assert np.allclose(evaluate(spec, x), expected, rtol=1e-12)
 
     def test_deterministic_bitwise(self):
-        spec = zdt("ZDT3")
+        spec = get_problem("ZDT3")
         x = np.linspace(0.1, 0.9, 30)
         f1 = evaluate(spec, x)
         f2 = evaluate(spec, x)

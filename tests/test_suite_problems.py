@@ -9,18 +9,12 @@ from mobench.problems import decode
 from mobench.suite import (
     SPRING_WIRE_DIAMETERS,
     analytic_reference_front,
-    car_side_impact,
-    coil_spring,
     constraint_violation,
-    four_bar_truss,
     get_problem,
     is_zdt,
     load_reference_csv,
     merged_reference_front,
-    pressure_vessel,
     problem_names,
-    speed_reducer,
-    zdt,
 )
 from mobench.results import write_front_csv
 
@@ -44,7 +38,7 @@ class TestZdtDefinitions:
             ("zdt4", 10, -5.0, 5.0),
             ("zdt6", 10, 0.0, 1.0),
         ]:
-            spec = zdt(name)
+            spec = get_problem(name)
             assert spec.n_vars == n
             assert spec.n_objectives == 2
             # x1 is in [0, 1] on every ZDT problem
@@ -53,26 +47,26 @@ class TestZdtDefinitions:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):
-            zdt("zdt5")
+            get_problem("zdt5")
 
     def test_zdt2_hand_point(self):
-        f = zdt("zdt2").objectives(np.array([0.5] + [0.0] * 29))
+        f = get_problem("zdt2").objectives(np.array([0.5] + [0.0] * 29))
         assert np.allclose(f, [0.5, 0.75], atol=1e-12)
 
     def test_zdt4_hand_point(self):
-        f = zdt("zdt4").objectives(np.array([0.5] + [0.0] * 9))
+        f = get_problem("zdt4").objectives(np.array([0.5] + [0.0] * 9))
         assert f[0] == 0.5
         assert f[1] == pytest.approx(1 - math.sqrt(0.5), abs=1e-12)
 
     def test_zdt6_hand_point(self):
-        f = zdt("zdt6").objectives(np.zeros(10))
+        f = get_problem("zdt6").objectives(np.zeros(10))
         assert np.allclose(f, [1.0, 0.0], atol=1e-12)
 
     def test_minimal_tail_lands_on_analytic_front(self):
         # first variable free, rest at their g-minimizing zeros
         rng = np.random.default_rng(3)
         for name in ["zdt1", "zdt2", "zdt3", "zdt4", "zdt6"]:
-            spec = zdt(name)
+            spec = get_problem(name)
             for x1 in rng.random(20):
                 x = np.zeros(spec.n_vars)
                 x[0] = x1
@@ -98,12 +92,12 @@ class TestConstraintViolation:
 
 class TestFourBarTruss:
     def test_bounds(self):
-        spec = four_bar_truss()
+        spec = get_problem("four_bar_truss")
         assert np.allclose(spec.lower, [1.0, math.sqrt(2), math.sqrt(2), 1.0])
         assert np.all(spec.upper == 3.0)
 
     def test_lower_corner_fixture(self):
-        spec = four_bar_truss()
+        spec = get_problem("four_bar_truss")
         x = np.array([1.0, math.sqrt(2), math.sqrt(2), 1.0])
         f = spec.objectives(x)
         # exact re-derivation
@@ -113,7 +107,7 @@ class TestFourBarTruss:
         assert f[1] == pytest.approx(0.04, rel=1e-9)
 
     def test_upper_corner_fixture(self):
-        spec = four_bar_truss()
+        spec = get_problem("four_bar_truss")
         f = spec.objectives(np.array([3.0, 3.0, 3.0, 3.0]))
         expected = 200 * (6 + 3 * math.sqrt(2) + math.sqrt(3) + 3)
         assert f[0] == pytest.approx(expected, rel=1e-9)
@@ -122,20 +116,20 @@ class TestFourBarTruss:
 
 class TestPressureVessel:
     def test_variable_kinds(self):
-        spec = pressure_vessel()
+        spec = get_problem("pressure_vessel")
         x = decode(np.array([2.4, 7.7, 55.5, 120.9]), spec)
         assert x[0] == 2.0 and x[1] == 8.0
         assert x[2] == 55.5 and x[3] == 120.9
 
     def test_cost_fixture(self):
-        spec = pressure_vessel()
+        spec = get_problem("pressure_vessel")
         f = spec.objectives(np.array([1.0, 1.0, 10.0, 10.0]))
         expected = 0.6224 * 100 + 1.7781 * 100 + 3.1661 * 10 + 19.84 * 10
         assert f[0] == pytest.approx(expected, rel=1e-9)
         assert f[0] == pytest.approx(470.111, rel=1e-3)
 
     def test_violation_fixture(self):
-        spec = pressure_vessel()
+        spec = get_problem("pressure_vessel")
         x = np.array([1.0, 1.0, 10.0, 10.0])
         g = suite._vessel_g(x)
         assert g[0] == pytest.approx(0.807, rel=1e-3)
@@ -146,7 +140,7 @@ class TestPressureVessel:
         assert spec.objectives(x)[1] == pytest.approx(1288669.62, rel=1e-3)
 
     def test_feasible_point_scores_zero(self):
-        spec = pressure_vessel()
+        spec = get_problem("pressure_vessel")
         # large radius/volume satisfies g3; thick walls satisfy g1, g2
         x = np.array([50.0, 50.0, 200.0, 240.0])
         assert np.all(suite._vessel_g(x) >= 0)
@@ -155,14 +149,14 @@ class TestPressureVessel:
 
 class TestCoilSpring:
     def test_variable_kinds(self):
-        spec = coil_spring()
+        spec = get_problem("coil_spring")
         x = decode(np.array([10.4, 1.0, 0.05]), spec)
         assert x[0] == 10.0
         assert x[2] == 0.047
         assert x[2] in SPRING_WIRE_DIAMETERS
 
     def test_volume_fixture(self):
-        spec = coil_spring()
+        spec = get_problem("coil_spring")
         f = spec.objectives(np.array([10.0, 1.0, 0.1]))
         assert f[0] == pytest.approx(math.pi**2 * 0.01 * 12 / 4, rel=1e-9)
         assert f[0] == pytest.approx(0.2961, rel=1e-3)
@@ -180,7 +174,7 @@ class TestCoilSpring:
         assert g[0] == pytest.approx(-8 * c_f * 1000 * x2 / (math.pi * x3**3) + 189000, rel=1e-9)
 
     def test_feasible_point_scores_zero(self):
-        spec = coil_spring()
+        spec = get_problem("coil_spring")
         x = decode(np.array([20.0, 1.0, 0.283]), spec)
         assert np.all(suite._spring_g(x) >= 0)
         assert spec.objectives(x)[1] == 0.0
@@ -188,13 +182,13 @@ class TestCoilSpring:
 
 class TestSpeedReducer:
     def test_variable_kinds_and_bounds(self):
-        spec = speed_reducer()
+        spec = get_problem("speed_reducer")
         assert spec.n_objectives == 3
         x = decode(np.array([3.0, 0.75, 20.6, 8.0, 8.0, 3.0, 5.2]), spec)
         assert x[2] == 21.0
 
     def test_shaft_stress_fixture(self):
-        spec = speed_reducer()
+        spec = get_problem("speed_reducer")
         x = np.array([3.0, 0.7, 17.0, 7.3, 7.9, 3.35, 5.2])
         f = spec.objectives(x)
         expected = math.sqrt((745 * 7.3 / (0.7 * 17)) ** 2 + 1.69e7) / (0.1 * 3.35**3)
@@ -213,17 +207,17 @@ class TestSpeedReducer:
 
 class TestCarSideImpact:
     def test_shape(self):
-        spec = car_side_impact()
+        spec = get_problem("car_side_impact")
         assert spec.n_vars == 7 and spec.n_objectives == 4
 
     def test_pubic_force_fixture(self):
-        spec = car_side_impact()
+        spec = get_problem("car_side_impact")
         f = spec.objectives(np.ones(7))
         assert f[1] == pytest.approx(4.72 - 0.5 - 0.19, rel=1e-9)
         assert f[1] == pytest.approx(4.03, rel=1e-3)
 
     def test_pillar_velocity_fixture(self):
-        spec = car_side_impact()
+        spec = get_problem("car_side_impact")
         x = np.ones(7)
         v_mbp = 10.58 - 0.674 - 0.67275
         assert v_mbp == pytest.approx(9.23325, rel=1e-9)
@@ -237,7 +231,7 @@ class TestCarSideImpact:
         assert suite._car_g(np.ones(7)).shape == (10,)
 
     def test_feasible_point_scores_zero(self):
-        spec = car_side_impact()
+        spec = get_problem("car_side_impact")
         x = np.array([1.5, 1.35, 0.5, 1.5, 2.625, 1.2, 1.2])
         assert np.all(suite._car_g(x) >= 0)
         assert spec.objectives(x)[3] == 0.0
@@ -269,7 +263,7 @@ class TestAnalyticReferenceFronts:
 
     def test_zdt6_attainable_range(self):
         front = analytic_reference_front("zdt6", 50).points
-        spec = zdt("zdt6")
+        spec = get_problem("zdt6")
         # the smallest front f1 must actually be attainable by some x1
         xs = np.linspace(0, 1, 20001)
         best = min(1 - math.exp(-4 * x) * math.sin(6 * math.pi * x) ** 6 for x in xs)
@@ -362,3 +356,14 @@ def test_registry_contents():
     assert is_zdt("ZDT4") and not is_zdt("pressure_vessel")
     with pytest.raises(InvalidInputError):
         get_problem("nope")
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_get_problem_returns_independent_bounds(name):
+    first = get_problem(name)
+    lower, upper = first.lower.copy(), first.upper.copy()
+    first.lower[:] = -1.0e9
+    first.upper[:] = 1.0e9
+    second = get_problem(name)
+    assert second.lower is not first.lower and second.upper is not first.upper
+    assert np.array_equal(second.lower, lower) and np.array_equal(second.upper, upper)
