@@ -18,11 +18,15 @@ row dominates it or an earlier row equals it; equal rows are found by a
 lexsort of the codes, not from the matrix. :func:`non_dominated_sort`
 returns a rank array: ``rank[i]`` is the front number of row ``i``, so
 front 0 (the non-dominated set) is ``rank == 0``. With two objectives
-both functions use an O(n log n) sweep over the rows sorted by (f1, f2)
-(Jensen 2003). With one or three and more they work on the O(m * n^2)
-matrix ``le``, and the sort uses the domination-count scheme on
+both functions sort the rows once by (f1, f2); front 0 is the rows whose
+f2 is below the prefix minimum of the f2 values before them, so
+:func:`non_dominated` runs no Python loop. The sort's later fronts come
+from an O(n log n) bisection sweep (Jensen 2003) over the rows outside
+front 0 only. With one or three and more objectives both work on the
+O(m * n^2) matrix ``le``, and the sort uses the domination-count scheme on
 ``le > le.T``. Crowding distance is computed for all fronts at once, in
-one pass per objective.
+one pass per objective; with two objectives and no repeated row it reuses
+the sort's order for both objectives instead.
 Selection needs only :func:`crowded_order`: the first ``k`` indices it
 returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
 while they fit, then the overflowing front by descending crowding).
@@ -66,32 +70,54 @@ def _objectives(points) -> np.ndarray:
     return F
 
 
-def _sweep(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Front number of each row of a two-column ``F``, and whether an
-    earlier row equals it. In (f1, f2) order a row can be dominated only by
-    rows before it, and a front holds one of them exactly when the front's
-    smallest f2 so far is at most the row's f2; the fronts' smallest f2
-    values only grow with the front number, so a bisection finds the first
-    front that does not dominate the row. An exact repeat (``-0.0`` equals
-    ``0.0``) sorts right after its equal and takes its front."""
+def _front_zero(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one sort of a two-column ``F``: the row order by (f1, f2), the
+    sorted columns, and in that order whether each row is front 0's first
+    of its kind. A stable sort keeps equal rows (``-0.0`` equals ``0.0``) in
+    index order. A row that no earlier row equals can be dominated only by
+    rows before it, and one of them dominates it exactly when the smallest
+    f2 before it is at most its own f2, so front 0's first rows of their
+    kind are those below that prefix minimum; a repeat equals the prefix
+    minimum and is never first of its kind."""
     f1, f2 = F.T
-    order = np.lexsort((f2, f1))  # stable: equal rows keep index order
+    order = np.lexsort((f2, f1))
     f1, f2 = f1[order], f2[order]
+    best = np.empty(len(F), dtype=bool)
+    best[:1] = True
+    np.less(f2[1:], np.minimum.accumulate(f2[:-1]), out=best[1:])
+    return order, f1, f2, best
+
+
+def _sweep(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Front number of each row of a non-empty two-column ``F``, the row
+    order by (f1, f2), and in that order whether each row equals the one
+    before it. Equal rows form a run that takes its first row's front.
+    Front 0 comes from :func:`_front_zero`; the runs outside it are swept
+    in the same order, where a front holds a dominator of a row exactly
+    when the front's smallest f2 so far is at most the row's f2. The
+    fronts' smallest f2 values only grow with the front number, so a
+    bisection finds the first front that does not dominate the row
+    (Jensen 2003)."""
+    order, f1, f2, best = _front_zero(F)
     same = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
-    ranks, lows, r = [], [], 0  # lows[k]: front k's smallest f2 so far
-    for y, again in zip(f2.tolist(), [False, *same.tolist()]):
-        if not again:
-            r = bisect_right(lows, y)
-            if r < len(lows):
-                lows[r] = y
-            else:
-                lows.append(y)
-        ranks.append(r)
+    head = np.empty(len(F), dtype=bool)
+    head[0] = True
+    np.logical_not(same, out=head[1:])
+    top = best[head]  # whether each run is in front 0
+    rest = (~top).nonzero()[0]
+    ranks, lows = [], []  # lows[k]: front k + 1's smallest f2 so far
+    for y in f2[head][rest].tolist():
+        r = bisect_right(lows, y)
+        if r < len(lows):
+            lows[r] = y
+        else:
+            lows.append(y)
+        ranks.append(r + 1)
+    run_rank = np.zeros(len(top), dtype=int)
+    run_rank[rest] = ranks
     rank = np.empty(len(F), dtype=int)
-    rank[order] = ranks
-    repeat = np.zeros(len(F), dtype=bool)
-    repeat[order[1:]] = same
-    return rank, repeat
+    rank[order] = run_rank[head.cumsum() - 1]
+    return rank, order, same
 
 
 def non_dominated(points) -> np.ndarray:
@@ -101,8 +127,10 @@ def non_dominated(points) -> np.ndarray:
     if F.ndim != 2 or F.shape[1] == 0:
         raise InvalidInputError("non_dominated needs a 2-D array of objective rows")
     if F.shape[1] == 2:
-        rank, repeat = _sweep(F)
-        return (rank == 0) & ~repeat
+        order, _, _, best = _front_zero(F)
+        keep = np.empty(len(F), dtype=bool)
+        keep[order] = best
+        return keep
     R = _codes(F)
     le = _no_worse(R)
     # a stable lexsort puts equal rows next to each other, earliest first
@@ -113,14 +141,23 @@ def non_dominated(points) -> np.ndarray:
     return ~(le > le.T).any(axis=0) & ~repeat
 
 
-def non_dominated_sort(points) -> np.ndarray:
-    """Front number of each objective row: 0 for the non-dominated set, 1
-    for the set non-dominated once front 0 is removed, and so on."""
+def _sortable(points) -> np.ndarray:
+    """Objective rows that can be ranked: a non-empty matrix without NaN."""
     F = _objectives(points)
     if F.ndim != 2 or F.shape[0] == 0:
         raise InvalidInputError("non_dominated_sort needs a non-empty list of objective vectors")
-    if F.shape[1] == 2:
-        return _sweep(F)[0]
+    return F
+
+
+def non_dominated_sort(points) -> np.ndarray:
+    """Front number of each objective row: 0 for the non-dominated set, 1
+    for the set non-dominated once front 0 is removed, and so on."""
+    F = _sortable(points)
+    return _sweep(F)[0] if F.shape[1] == 2 else _peel(F)
+
+
+def _peel(F: np.ndarray) -> np.ndarray:
+    """Front numbers from the domination counts of the matrix ``le``."""
     R = _codes(F)
     le = _no_worse(R)
     D = (le > le.T).view(np.uint8)  # D[i, j]: row i dominates row j
@@ -137,28 +174,35 @@ def non_dominated_sort(points) -> np.ndarray:
     return rank
 
 
+def _fronts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For front numbers ``r`` in ascending order: which positions are a
+    front's first or last, the other (inner) positions, and the first and
+    last position of each inner position's front."""
+    n = len(r)
+    # edge[k] marks a front starting at position k, edge[n] the end of the last one
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(r[1:], r[:-1], out=edge[1:n])
+    first, last = edge[:n], edge[1:]
+    bound = first | last
+    inner = (~bound).nonzero()[0]
+    front = first.cumsum()[inner] - 1
+    return bound, inner, first.nonzero()[0][front], last.nonzero()[0][front]
+
+
 def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Crowding distance of every row within its front, all fronts at once:
     per objective, order the rows by front, value and index, give each
     front's first and last row +inf, and add the neighbour gap over the
     front's span to its interior rows when that span is positive."""
-    n = len(F)
-    dist = np.zeros(n)
+    dist = np.zeros(len(F))
     # every objective's order runs through the same rank sequence, so the
-    # fronts' bounds are found once: edge[k] marks a front starting at
-    # sorted position k, edge[n] the end of the last one
-    edge = np.ones(n + 1, dtype=bool)
-    r = np.sort(rank)
-    np.not_equal(r[1:], r[:-1], out=edge[1:n])
-    first, last = edge[:n], edge[1:]
-    starts, ends = np.flatnonzero(first), np.flatnonzero(last)
-    bound = first | last
-    inner = np.flatnonzero(~bound)
-    inner_front = (np.cumsum(first) - 1)[inner]
+    # fronts' bounds are found once
+    bound, inner, lo, hi = _fronts(np.sort(rank))
     for col in F.T:
         order = np.lexsort((col, rank))
         col = col[order]
-        span = (col[ends] - col[starts])[inner_front]
+        span = col[hi] - col[lo]
         dist[order[bound]] = np.inf
         wide = span > 0
         at = inner[wide]
@@ -166,11 +210,33 @@ def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _chain_crowding(F: np.ndarray, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """:func:`_crowding` of a two-column ``F`` in which no row repeats, from
+    the sweep's (f1, f2) ``order``. In a front of distinct rows f1 strictly
+    rises as f2 strictly falls, so listing each front by ascending f1 gives
+    both objectives' neighbours and spans, every span is positive, and the
+    sums are those of :func:`_crowding`, objective 0 first."""
+    order = order[rank[order].argsort(kind="stable")]
+    bound, inner, lo, hi = _fronts(rank[order])
+    f1, f2 = F[order].T
+    at = inner - 1  # entry p - 1 of f1[2:] - f1[:-2] is position p's neighbour gap
+    gap1, gap2 = (f1[2:] - f1[:-2])[at], (f2[:-2] - f2[2:])[at]
+    dist = np.zeros(len(F))
+    dist[order[bound]] = np.inf
+    dist[order[inner]] = gap1 / (f1[hi] - f1[lo]) + gap2 / (f2[lo] - f2[hi])
+    return dist
+
+
 def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
     """Each objective row's rank (front number) and its crowding distance
     within its front."""
-    F = np.asarray(points, dtype=float)
-    rank = non_dominated_sort(F)
+    F = _sortable(points)
+    if F.shape[1] != 2:
+        rank = _peel(F)
+    else:
+        rank, order, same = _sweep(F)
+        if not same.any():
+            return rank, _chain_crowding(F, rank, order)
     return rank, _crowding(F, rank)
 
 

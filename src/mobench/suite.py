@@ -378,10 +378,8 @@ def analytic_reference_front(name: str, n_points: int = 1000) -> ReferenceFront:
     x = np.zeros((max(50 * n_points, 50001) if key == "zdt3" else n_points, 2))
     x[:, 0] = np.linspace(0.0, 1.0, len(x))
     points = _PROBLEMS[key][0](x)
-    if key == "zdt3":  # keep the strictly-decreasing prefix minimum of the curve
-        curve = points[:, 1]
-        keep = curve < np.concatenate(([np.inf], np.minimum.accumulate(curve)[:-1]))
-        kept = np.flatnonzero(keep)
+    if key == "zdt3":  # f1 = x1 rises strictly, so no row repeats
+        kept = np.flatnonzero(non_dominated(points))
         pick = np.unique(np.linspace(0, len(kept) - 1, n_points).round().astype(int))
         points = points[kept[pick]]
     return ReferenceFront(points=points, source="analytic")

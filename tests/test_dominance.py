@@ -106,11 +106,18 @@ class TestNonDominatedSort:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             non_dominated_sort([])
+        for m in (2, 3):
+            with pytest.raises(InvalidInputError):
+                rank_and_crowd(np.empty((0, m)))
 
     def test_non_matrix_input_rejected(self):
         for points in ([1.0, 2.0, 3.0], 1.0, np.zeros((2, 2, 2)), np.zeros((3, 0))):
             with pytest.raises(InvalidInputError):
                 non_dominated(points)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_no_rows_keep_nothing(self, m):
+        assert non_dominated(np.empty((0, m))).tolist() == []
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_nan_rejected(self, m):
@@ -121,6 +128,8 @@ class TestNonDominatedSort:
             non_dominated_sort(F)
         with pytest.raises(InvalidInputError, match="NaN"):
             non_dominated(F)
+        with pytest.raises(InvalidInputError, match="NaN"):
+            rank_and_crowd(F)
 
     def test_partition_invariants_random(self):
         rng = np.random.default_rng(3)
@@ -268,6 +277,40 @@ def two_objective_rows(draw):
     return draw(st.lists(st.tuples(cells, cells), min_size=n, max_size=n))
 
 
+@st.composite
+def distinct_two_objective_rows(draw):
+    """1..250 two-column rows of which no two are equal, so
+    ``rank_and_crowd`` crowds from its sort order. The cells come from a
+    grid of drawn width plus +-1e300, and some zeros are ``-0.0``. Half the
+    draws are chains of at most 60 rows (the oracle's cost grows with the
+    cube of a chain's length): both columns rise together, in shuffled row
+    order, so every row is its own front. The rows are picked by a seeded
+    generator, as Hypothesis' unique lists of 250 rows are slow to draw."""
+    chain = draw(st.booleans())
+    n = draw(st.integers(1, 60 if chain else 250))
+    width = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.array([-1e300, *range(-width, width + 1), 0.5, 1e300], dtype=float)
+    if chain:
+        n = min(n, len(cells))
+        F = np.column_stack([np.sort(rng.choice(cells, n, replace=False)) for _ in "12"])
+        F = F[rng.permutation(n)]
+    else:
+        picks = rng.choice(len(cells) ** 2, min(n, len(cells) ** 2), replace=False)
+        F = cells[np.column_stack(np.divmod(picks, len(cells)))]
+    zero = F == 0
+    F[zero] *= rng.choice([-1.0, 1.0], np.count_nonzero(zero))
+    return F.tolist()
+
+
+def assert_rank_and_crowd_match_oracle(points):
+    rank, crowd = rank_and_crowd(points)
+    want_rank, want_crowd = rank_and_crowd_oracle(points)
+    assert np.array_equal(rank, want_rank)
+    assert crowd.tobytes() == want_crowd.tobytes()
+    assert np.array_equal(crowded_order(rank, crowd), crowded_order(want_rank, want_crowd))
+
+
 class TestTwoObjectiveSweep:
     @settings(max_examples=200, deadline=None)
     @given(two_objective_rows())
@@ -278,6 +321,16 @@ class TestTwoObjectiveSweep:
     @given(two_objective_rows())
     def test_non_dominated_matches_scalar_oracle(self, points):
         assert non_dominated(points).tolist() == distinct_non_dominated_python(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_objective_rows())
+    def test_rank_and_crowd_with_repeats_matches_oracle(self, points):
+        assert_rank_and_crowd_match_oracle(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_two_objective_rows())
+    def test_rank_and_crowd_of_distinct_rows_matches_oracle(self, points):
+        assert_rank_and_crowd_match_oracle(points)
 
 
 @st.composite
