@@ -3,10 +3,11 @@
 These deliberately avoid the library's code paths: dominance is re-derived
 from scalar comparisons, the partition oracle re-counts dominators from
 scratch at every peeling level instead of bookkeeping, crowding and
-archive truncation recompute every distance from scratch, polynomial
-mutation computes every coordinate's perturbation, the metric oracles
-are plain double loops, and the table parser reads the comparison
-CSV back with string splits.
+archive truncation recompute every distance from scratch, MOLPB's
+mating follows its stated rules one row at a time, polynomial mutation
+computes every coordinate's perturbation, the metric oracles are plain
+double loops, and the table parser reads the comparison CSV back with
+string splits.
 """
 
 from __future__ import annotations
@@ -184,6 +185,70 @@ def selection_oracle(points, k: int) -> list[int]:
         chosen += [front[j] for j in best[: k - len(chosen)]]
         break
     return chosen
+
+
+def crowded_first(rank, crowd, rows) -> list[int]:
+    """``rows`` sorted by the crowded comparison of their ``rank`` and
+    ``crowd`` entries: lower rank, then larger crowding, then lower row."""
+    return sorted(rows, key=lambda i: (rank[i], -crowd[i], i))
+
+
+def molpb_mating_oracle(F, rng, n_pairs=None) -> tuple[np.ndarray, np.ndarray]:
+    """MOLPB's parent pairs of the population ``F`` (stored best first),
+    from the rules as stated, one row at a time: separate the first
+    half-up 60% of a permutation and halve it by the crowded comparison;
+    prune the main part by the bad half's best row; route each main row
+    against the good and bad pivots of the joint ranking; then cycle the
+    pairs. ``n_pairs`` defaults to the engine's ``round(0.7 * n_pop)``.
+    It makes the engine's two draws, in its order."""
+    pts = [list(map(float, row)) for row in F]
+    n = len(pts)
+    perm = [int(i) for i in rng.permutation(n)]
+    split = int(0.6 * n + 0.5)
+    separated, main = perm[:split], perm[split:]
+
+    rank, crowd = rank_and_crowd_oracle([pts[i] for i in separated])
+    order = crowded_first(rank, crowd, range(len(separated)))
+    half = len(separated) // 2
+    good = [separated[j] for j in order[:half]]
+    bad = [separated[j] for j in order[half:]]
+
+    rank, crowd = rank_and_crowd_oracle([pts[i] for i in bad])
+    pivot = pts[bad[crowded_first(rank, crowd, range(len(bad)))[0]]]
+    main = [i for i in main if not dominates_scalar(pivot, pts[i])]
+
+    joint = main + good + bad
+    rank, crowd = rank_and_crowd_oracle([pts[i] for i in joint])
+    best_good = crowded_first(rank, crowd, range(len(main), len(main) + len(good)))[0]
+    best_bad = crowded_first(rank, crowd, range(len(main) + len(good), len(joint)))[0]
+
+    def precedes(j, p):
+        return rank[j] < rank[p] or (rank[j] == rank[p] and crowd[j] > crowd[p])
+
+    perfect, extension = [], []
+    for j, i in enumerate(main):
+        if precedes(j, best_bad):
+            (perfect if precedes(j, best_good) else extension).append(i)
+
+    cut = (len(good) + 1) // 2
+    first, second = good[:cut], good[cut:]
+    partners = main if main else bad
+    draws = rng.integers(len(partners), size=len(second)).tolist()
+    a, b = [], []
+    for k in range(0, len(first), 2):
+        a.append(first[k])
+        b.append(first[(k + 1) % len(first)])
+    for i, d in zip(second, draws):
+        a.append(i)
+        b.append(partners[d])
+    donors = perfect + [bad[k % len(bad)] for k in range(len(extension))]
+    for i, d in zip(extension, donors):
+        a.append(i)
+        b.append(d)
+    if n_pairs is None:
+        n_pairs = round(0.7 * n)
+    pairs = [k % len(a) for k in range(n_pairs)]
+    return np.array([a[k] for k in pairs]), np.array([b[k] for k in pairs])
 
 
 def polynomial_mutation_dense(x, lower, upper, rng, prob: float, eta: float) -> np.ndarray:

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench import molpb
 from mobench.errors import InvalidInputError, InvalidStateError
@@ -19,7 +21,7 @@ from mobench.molpb import (
 from mobench.operators import DISTRIBUTION_INDEX, MUTATION_PROB
 from mobench.suite import analytic_reference_front, get_problem
 
-from oracles import dominates_scalar, non_dominated_mask_python
+from oracles import dominates_scalar, molpb_mating_oracle, non_dominated_mask_python
 
 
 def rows(points):
@@ -132,6 +134,33 @@ class TestRouteMain:
     def test_empty_pivot_groups_rejected(self):
         with pytest.raises(InvalidStateError):
             route_main(rows([(1, 1)]), rows([]), rows([(2, 2)]))
+
+
+@st.composite
+def populations(draw):
+    """Populations of 4-40 rows with 2-4 objectives, mostly on a coarse grid
+    (so repeated rows, equal values and ``-0.0`` next to ``0.0`` are common),
+    sometimes anywhere in [0, 10]."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 40))
+    cells = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 4.0]) | st.floats(0.0, 10.0)
+    return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+class TestMatingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(populations(), st.integers(0, 2**32 - 1))
+    def test_mating_matches_the_row_by_row_oracle(self, F, seed):
+        # the same pairs from the same draws: both calls leave the
+        # generator in the same state
+        F = np.array(F)
+        engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
+        engine.F = F
+        rng = np.random.default_rng(seed)
+        a, b = engine.mating()
+        want_a, want_b = molpb_mating_oracle(F, rng)
+        assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+        assert engine.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestEngine:
