@@ -17,7 +17,11 @@ are recomputed, each from scratch and only when it comes up as the next
 candidate to drop. The set-up comes from one stable sort of every column:
 it gives each row's neighbours in each objective, the spans, the edge
 rows and the starting crowding of the others, summed in objective order
-exactly as :func:`dominance._crowding` sums one front.
+exactly as :func:`dominance._crowding` sums one front. With two
+objectives and a capacity of three or more, the filter's own (f1, f2)
+sort already lists the kept rows as one chain, along which f2 falls, so
+truncation walks one prev/next list over that order instead, with the
+same heap entries and sums, and keeps the survivors in stacking order.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from .dominance import non_dominated
+from .dominance import _chain, _front_zero, non_dominated
 from .errors import InvalidConfigError, InvalidInputError
 
 
@@ -65,6 +69,13 @@ class ParetoArchive:
         if not np.isfinite(new).all():
             raise InvalidInputError("archive rows must be finite")
         F = np.concatenate([self._F, new]) if len(self) else new
+        if F.shape[1] == 2 and self.capacity > 2:
+            # the filter's sort lists the kept rows as one chain
+            order, _, _, best = _front_zero(F)
+            chain = order[best]
+            kept = _thin_chain(F, chain, self.capacity) if len(chain) > self.capacity else chain
+            self._F = F[np.sort(kept)]
+            return int(np.count_nonzero(chain >= len(F) - len(new)))
         keep = non_dominated(F)
         self._F = F[keep]
         self.truncate()
@@ -119,3 +130,34 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
             a, b = p[drop], q[drop]
             q[a], p[b], stale[a], stale[b] = b, a, True, True
     return [i for i in range(n) if alive[i]]
+
+
+def _thin_chain(F: np.ndarray, chain: np.ndarray, capacity: int) -> np.ndarray:
+    """:func:`_thin` of the rows ``chain`` of a two-column ``F``, listed by
+    rising f1 and so by falling f2, for ``capacity >= 3``: each row's
+    neighbours in both objectives are its neighbours along the chain, so
+    one prev/next list serves both. Heap entries and sums are those of
+    :func:`_thin`, so ties and rounding match. Returns the kept rows."""
+    n = len(chain)
+    f1, f2 = F[chain].T
+    crowd = _chain(f1, f2)
+    span1, span2 = float(f1[-1] - f1[0]), float(f2[0] - f2[-1])
+    f1, f2 = f1.tolist(), f2.tolist()
+    prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))
+    # (crowding, row, position) of the inner positions; rows are distinct,
+    # so the position is never compared
+    heap = list(zip(crowd[1:-1].tolist(), chain[1:-1].tolist(), range(1, n - 1)))
+    heapq.heapify(heap)
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    alive, stale = np.ones(n, dtype=bool), [False] * n
+    for _ in range(n - capacity):
+        while stale[(top := heap[0])[2]]:
+            i = top[2]
+            stale[i] = False
+            a, b = prev[i], nxt[i]
+            heapreplace(heap, ((f1[b] - f1[a]) / span1 + (f2[a] - f2[b]) / span2, top[1], i))
+        i = heappop(heap)[2]
+        alive[i] = False
+        a, b = prev[i], nxt[i]
+        nxt[a], prev[b], stale[a], stale[b] = b, a, True, True
+    return chain[alive]

@@ -26,10 +26,17 @@ front 0 only. With one or three and more objectives both work on the
 O(m * n^2) matrix ``le``, and the sort uses the domination-count scheme on
 ``le > le.T``. Crowding distance is computed for all fronts at once, in
 one pass per objective; with two objectives and no repeated row it reuses
-the sort's order for both objectives instead.
-Selection needs only :func:`crowded_order`: the first ``k`` indices it
-returns are NSGA-II's environmental selection of ``k`` rows (whole fronts
-while they fit, then the overflowing front by descending crowding).
+the sort's order for both objectives instead. A front of distinct rows
+listed by rising f1 is a chain, along which f2 strictly falls, so its
+crowding is one shifted difference per objective (:func:`_chain`); when
+front 0 holds every row, :func:`rank_and_crowd` returns that and runs no
+sweep. :func:`select` is NSGA-II's environmental selection of ``k`` rows,
+the first ``k`` indices of :func:`crowded_order` (whole fronts while they
+fit, then the overflowing front by descending crowding), with the front-0
+mask. With two objectives, when front 0 holds at least ``k`` rows, which
+is the common case, it crowds front 0 alone and never sorts the rest.
+:func:`crowded_first` finds the first row in crowded order from front
+0's extremes alone.
 """
 
 from __future__ import annotations
@@ -88,21 +95,26 @@ def _front_zero(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return order, f1, f2, best
 
 
-def _sweep(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Front number of each row of a non-empty two-column ``F``, the row
-    order by (f1, f2), and in that order whether each row equals the one
-    before it. Equal rows form a run that takes its first row's front.
-    Front 0 comes from :func:`_front_zero`; the runs outside it are swept
-    in the same order, where a front holds a dominator of a row exactly
-    when the front's smallest f2 so far is at most the row's f2. The
-    fronts' smallest f2 values only grow with the front number, so a
-    bisection finds the first front that does not dominate the row
-    (Jensen 2003)."""
-    order, f1, f2, best = _front_zero(F)
+def _runs(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted columns: whether each row after the first equals the one
+    before it, and whether each row is the first of its run of equal rows."""
     same = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
-    head = np.empty(len(F), dtype=bool)
+    head = np.empty(len(f1), dtype=bool)
     head[0] = True
     np.logical_not(same, out=head[1:])
+    return same, head
+
+
+def _sweep(order, f1, f2, best) -> tuple[np.ndarray, np.ndarray]:
+    """Front number of each row of a non-empty two-column matrix, from its
+    :func:`_front_zero` sort, and in the sorted order whether each row
+    equals the one before it. Equal rows form a run that takes its first
+    row's front. The runs outside front 0 are swept in the sorted order,
+    where a front holds a dominator of a row exactly when the front's
+    smallest f2 so far is at most the row's f2. The fronts' smallest f2
+    values only grow with the front number, so a bisection finds the
+    first front that does not dominate the row (Jensen 2003)."""
+    same, head = _runs(f1, f2)
     top = best[head]  # whether each run is in front 0
     rest = (~top).nonzero()[0]
     ranks, lows = [], []  # lows[k]: front k + 1's smallest f2 so far
@@ -115,9 +127,9 @@ def _sweep(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ranks.append(r + 1)
     run_rank = np.zeros(len(top), dtype=int)
     run_rank[rest] = ranks
-    rank = np.empty(len(F), dtype=int)
+    rank = np.empty(len(order), dtype=int)
     rank[order] = run_rank[head.cumsum() - 1]
-    return rank, order, same
+    return rank, same
 
 
 def non_dominated(points) -> np.ndarray:
@@ -153,7 +165,7 @@ def non_dominated_sort(points) -> np.ndarray:
     """Front number of each objective row: 0 for the non-dominated set, 1
     for the set non-dominated once front 0 is removed, and so on."""
     F = _sortable(points)
-    return _sweep(F)[0] if F.shape[1] == 2 else _peel(F)
+    return _sweep(*_front_zero(F))[0] if F.shape[1] == 2 else _peel(F)
 
 
 def _peel(F: np.ndarray) -> np.ndarray:
@@ -210,11 +222,22 @@ def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _chain_crowding(F: np.ndarray, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _chain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """:func:`_crowding` of one front of distinct rows listed by rising f1,
+    along which f2 strictly falls: +inf at both ends, and inside one
+    shifted difference per objective over its span, objective 0 added
+    first."""
+    dist = np.empty(len(f1))
+    dist[[0, -1]] = np.inf
+    dist[1:-1] = (f1[2:] - f1[:-2]) / (f1[-1] - f1[0]) + (f2[:-2] - f2[2:]) / (f2[0] - f2[-1])
+    return dist
+
+
+def _chains(F: np.ndarray, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
     """:func:`_crowding` of a two-column ``F`` in which no row repeats, from
-    the sweep's (f1, f2) ``order``. In a front of distinct rows f1 strictly
-    rises as f2 strictly falls, so listing each front by ascending f1 gives
-    both objectives' neighbours and spans, every span is positive, and the
+    the sweep's (f1, f2) ``order``: every front is a chain (see
+    :func:`_chain`), so listing each front by rising f1 gives both
+    objectives' neighbours and spans, every span is positive, and the
     sums are those of :func:`_crowding`, objective 0 first."""
     order = order[rank[order].argsort(kind="stable")]
     bound, inner, lo, hi = _fronts(rank[order])
@@ -233,15 +256,60 @@ def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
     F = _sortable(points)
     if F.shape[1] != 2:
         rank = _peel(F)
-    else:
-        rank, order, same = _sweep(F)
-        if not same.any():
-            return rank, _chain_crowding(F, rank, order)
-    return rank, _crowding(F, rank)
+        return rank, _crowding(F, rank)
+    order, f1, f2, best = sort = _front_zero(F)
+    if best.all():  # a single front of distinct rows: one chain
+        crowd = np.empty(len(F))
+        crowd[order] = _chain(f1, f2)
+        return np.zeros(len(F), dtype=int), crowd
+    rank, same = _sweep(*sort)
+    return rank, _crowding(F, rank) if same.any() else _chains(F, rank, order)
+
+
+def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """NSGA-II's environmental selection of ``k`` rows, the first ``k``
+    indices of :func:`crowded_order` of the rows' ranks and crowding, and
+    the mask of front 0 (``rank == 0``). With two objectives and at least
+    ``k`` rows in front 0, only front 0 is crowded: a repeat of a front-0
+    row is in front 0 too, so front 0 is one chain unless it holds one."""
+    F = _sortable(points)
+    if F.shape[1] == 2:
+        order, f1, f2, best = _front_zero(F)
+        same, head = _runs(f1, f2)
+        # a repeat takes the front of the first row of its run
+        zero = best[head][head.cumsum() - 1] if same.any() else best
+        rows = order[zero]
+        if len(rows) >= k:
+            if len(rows) == np.count_nonzero(best):  # no repeat in front 0
+                crowd = _chain(f1[zero], f2[zero])
+            else:
+                rows.sort()  # index order, in which _crowding breaks ties
+                crowd = _crowding(F[rows], np.zeros(len(rows), dtype=int))
+            top = np.zeros(len(F), dtype=bool)
+            top[rows] = True
+            return rows[np.lexsort((rows, -crowd))[:k]], top
+    rank, crowd = rank_and_crowd(F)
+    return crowded_order(rank, crowd)[:k], rank == 0
+
+
+def crowded_first(points) -> int:
+    """The first index of :func:`crowded_order` of the rows' ranks and
+    crowding. The rows with infinite crowding, which come first, are front
+    0's first and last rows in each objective's (value, index) order, so
+    it is the lowest index among them. With two objectives those are the
+    first rows of front 0's first and last runs of equal rows in (f1, f2)
+    order."""
+    F = _sortable(points)
+    if F.shape[1] == 2:
+        order, _, _, best = _front_zero(F)
+        return int(min(order[0], order[np.flatnonzero(best)[-1]]))
+    rows = np.flatnonzero(_peel(F) == 0)
+    G = F[rows]
+    ends = np.concatenate([G.argmin(axis=0), len(G) - 1 - G[::-1].argmax(axis=0)])
+    return int(rows[ends.min()])
 
 
 def crowded_order(rank, crowd) -> np.ndarray:
     """Indices sorted by the crowded comparison: lower rank first, then
     larger crowding distance, then lower index."""
     return np.lexsort((-np.asarray(crowd, dtype=float), np.asarray(rank)))
-

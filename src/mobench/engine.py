@@ -9,13 +9,14 @@ generation is a handful of whole-array calls: :meth:`Engine.mating`, the
 one method an algorithm provides, returns the parent pairs as two index
 arrays; one SBX call crosses every pair and one polynomial mutation call
 perturbs every child; the offspring are decoded and evaluated in one
-batch; and :meth:`Engine._merge` ranks parents plus offspring once, keeps
-the first ``n_pop`` rows in crowded order and offers the newcomers in the
-merged set's first front (``rank == 0``) to the archive in one call. Each
-evaluated point is thus offered at most once, in the generation it is
-evaluated. No front-0 point is missed: a member in a merged first front
-was in the first front when it entered, since a row that dominated it
-then ranks lower and is kept whenever it is.
+batch; and :meth:`Engine._merge` keeps the first ``n_pop`` rows of parents
+plus offspring in crowded order, from one :func:`~mobench.dominance.select`
+call that ranks and crowds only as far as those rows need, and offers the
+newcomers in the merged set's first front (``rank == 0``) to the archive
+in one call. Each evaluated point is thus offered at most once, in the
+generation it is evaluated. No front-0 point is missed: a member in a
+merged first front was in the first front when it entered, since a row
+that dominated it then ranks lower and is kept whenever it is.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .archive import ParetoArchive
-from .dominance import crowded_order, rank_and_crowd
+from .dominance import select
 from .errors import InvalidConfigError, InvalidStateError
 from .operators import polynomial_mutation, sbx_crossover
 from .problems import ProblemSpec, decode, evaluate
@@ -91,16 +92,15 @@ class Engine:
         return X, F
 
     def _merge(self, X_new, F_new) -> None:
-        """Elitist merge: rank the population plus the newcomers once, keep
-        the best ``n_pop`` rows in crowded order, and offer the newcomers
-        in the merged set's first front to the archive in one call."""
+        """Elitist merge: keep the best ``n_pop`` rows of the population
+        plus the newcomers in crowded order, and offer the newcomers in the
+        merged set's first front to the archive in one call."""
         n = len(self.X)
         X = np.concatenate([self.X, X_new])
         F = np.concatenate([self.F, F_new])
-        rank, crowd = rank_and_crowd(F)
-        keep = crowded_order(rank, crowd)[: self.config.n_pop]
+        keep, top = select(F, self.config.n_pop)
         self.X, self.F = X[keep], F[keep]
-        self.archive.insert(F[n:][rank[n:] == 0])
+        self.archive.insert(F[n:][top[n:]])
 
     def initialize(self) -> None:
         """Uniform random population; the archive starts from its

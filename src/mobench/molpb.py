@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import crowded_order, rank_and_crowd
+from .dominance import crowded_first, crowded_order, rank_and_crowd
 from .engine import Engine, EngineConfig
 from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
 
@@ -54,8 +54,7 @@ def best_of_bad(F) -> int:
     within the bad half alone)."""
     if len(F) == 0:
         raise InvalidStateError("bad population is empty")
-    rank, crowd = rank_and_crowd(F)
-    return int(crowded_order(rank, crowd)[0])
+    return crowded_first(F)
 
 
 def filter_main(F, best_bad) -> np.ndarray:
@@ -113,13 +112,12 @@ class MolpbEngine(Engine):
         main = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
         perfect, extension = (main[i] for i in route_main(F[main], F[good], F[bad]))
 
-        first, second = np.array_split(good, 2)
+        cut = len(good) - len(good) // 2
+        first, second = good[:cut], good[cut:]
         partners = main if len(main) else bad
+        drawn = partners[self.rng.integers(len(partners), size=len(second))]
+        lent = np.arange(max(len(extension) - len(perfect), 0)) % len(bad)
         a = np.concatenate([first[0::2], second, extension])
-        b = np.concatenate([
-            np.roll(first, -1)[0::2],
-            partners[self.rng.integers(len(partners), size=len(second))],
-            np.concatenate([perfect, np.resize(bad, len(extension))])[: len(extension)],
-        ])
+        b = np.concatenate([first[1::2], first[: cut % 2], drawn, perfect[: len(extension)], bad[lent]])
         pairs = np.arange(cfg.offspring_count // 2) % len(a)
         return a[pairs], b[pairs]

@@ -7,8 +7,9 @@ one child per row, with one draw of uniforms per call (a single vector
 is one row). All operators take an explicit numpy Generator and are pure
 given it. Both read the paper's fixed settings below. Polynomial mutation
 draws its mask and its uniforms for every coordinate, so the random
-stream does not depend on which coordinates mutate, but evaluates the
-perturbation's powers only for those that do.
+stream does not depend on which coordinates mutate, but computes and
+adds the perturbation only for those that do. Each operator takes one
+power per coordinate it perturbs, of a base chosen first.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def sbx_crossover(p1, p2, lower, upper, rng) -> tuple[np.ndarray, np.ndarray]:
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     u = rng.random(p1.shape)
-    exponent = 1.0 / (DISTRIBUTION_INDEX + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    beta = base ** (1.0 / (DISTRIBUTION_INDEX + 1.0))
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
+    return np.clip(c1, lower, upper, out=c1), np.clip(c2, lower, upper, out=c2)
 
 
 def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
@@ -43,8 +44,10 @@ def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     mask = rng.random(x.shape) < MUTATION_PROB
     u = rng.random(x.shape)[mask]
-    exponent = 1.0 / (DISTRIBUTION_INDEX + 1.0)
-    delta = np.zeros(x.shape)
-    delta[mask] = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
-    out = np.where(mask, x + delta * (np.asarray(upper) - np.asarray(lower)), x)
+    low = u < 0.5
+    power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (DISTRIBUTION_INDEX + 1.0))
+    delta = np.where(low, power - 1.0, 1.0 - power)
+    span = np.broadcast_to(np.asarray(upper) - np.asarray(lower), x.shape)
+    out = x.copy()
+    out[mask] += delta * span[mask]
     return np.clip(out, lower, upper, out=out)

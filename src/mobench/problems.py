@@ -133,8 +133,9 @@ def decode(x_raw: Sequence[float] | np.ndarray, spec: ProblemSpec) -> np.ndarray
             f"{spec.name}: expected {spec.n_vars} variables per row, got shape {x.shape}"
         )
     x = np.clip(x, spec.lower, spec.upper)
-    ints = x[..., spec._integer_indices]
-    x[..., spec._integer_indices] = np.copysign(np.floor(np.abs(ints) + 0.5), ints)
+    if spec._integer_indices.size:
+        ints = x[..., spec._integer_indices]
+        x[..., spec._integer_indices] = np.copysign(np.floor(np.abs(ints) + 0.5), ints)
     for j in spec._discrete_indices:
         allowed = np.asarray(spec.kinds[j].allowed)
         pos = np.searchsorted(allowed, x[..., j])

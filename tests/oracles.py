@@ -251,6 +251,39 @@ def molpb_mating_oracle(F, rng, n_pairs=None) -> tuple[np.ndarray, np.ndarray]:
     return np.array([a[k] for k in pairs]), np.array([b[k] for k in pairs])
 
 
+def crowded_selection_oracle(points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` rows by the crowded comparison of the oracle ranks
+    and crowding (the engine's environmental selection, best first), and
+    the oracle's front-0 mask."""
+    rank, crowd = rank_and_crowd_oracle(points)
+    return np.array(crowded_first(rank, crowd, range(len(points)))[:k], dtype=int), rank == 0
+
+
+def archive_insert_oracle(members, offer, capacity: int) -> tuple[np.ndarray, int]:
+    """The members after offering the rows ``offer`` to an archive holding
+    ``members``, and how many offered rows became members before
+    truncation: the distinct non-dominated rows of the members stacked
+    above the offer, thinned by :func:`truncation_oracle`."""
+    F = np.concatenate([members, offer]) if len(members) else np.asarray(offer, dtype=float)
+    keep = distinct_non_dominated_python(F.tolist())
+    kept = F[np.array(keep, dtype=bool)]
+    return kept[truncation_oracle(kept.tolist(), capacity)], sum(keep[len(F) - len(offer):])
+
+
+def sbx_crossover_two_powers(p1, p2, lower, upper, rng, eta: float):
+    """SBX with each branch's power taken over the full arrays and the
+    children clamped into new arrays: the same draw as the library's
+    operator."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    u = rng.random(p1.shape)
+    exponent = 1.0 / (eta + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(c1, lower, upper), np.clip(c2, lower, upper)
+
+
 def polynomial_mutation_dense(x, lower, upper, rng, prob: float, eta: float) -> np.ndarray:
     """Polynomial mutation with the perturbation computed for every
     coordinate and kept where the mask is set: the same two draws of

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from mobench.archive import ParetoArchive
 from mobench.errors import InvalidInputError
 
-from oracles import dominates_scalar, non_dominated_mask_python, truncation_oracle
+from oracles import (
+    archive_insert_oracle,
+    dominates_scalar,
+    non_dominated_mask_python,
+    truncation_oracle,
+)
 from strategies import objective_rows
 
 
@@ -242,3 +247,43 @@ class TestIncrementalTruncation:
         arc.insert(points)
         F = full.objectives()
         assert arc.objectives().tobytes() == F[truncation_oracle(F.tolist(), capacity)].tobytes()
+
+
+@st.composite
+def two_column_offers(draw):
+    """A capacity (often 1 or 2) and 1..8 offers of 0..30 two-column rows,
+    on a coarse grid, on a falling grid line (where equal crowding makes
+    the tie rule decide) or on a noisy falling curve, with signed zeros."""
+    capacity = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offers = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = int(rng.integers(0, 31))
+        kind = rng.integers(3)
+        if kind == 0:
+            F = rng.integers(-1, 5, (n, 2)).astype(float)
+        elif kind == 1:
+            x = rng.integers(0, 30, n).astype(float)
+            F = np.column_stack([x, 30.0 - x])
+        else:
+            x = rng.random(n)
+            F = np.column_stack([x, 1.0 - np.sqrt(x) + 0.05 * (rng.random(n) < 0.3)])
+        F[F == 0] *= rng.choice([-1.0, 1.0], np.count_nonzero(F == 0))
+        offers.append(F)
+    return capacity, offers
+
+
+class TestTwoColumnInsert:
+    @settings(max_examples=200, deadline=None)
+    @given(two_column_offers())
+    def test_insert_sequence_matches_the_oracle_archive(self, case):
+        # the chain filter and chain truncation leave the members and
+        # counts of the brute-force keep rule and from-scratch truncation
+        capacity, offers = case
+        arc, members = ParetoArchive(capacity), np.empty((0, 2))
+        for F in offers:
+            accepted = arc.insert(F)
+            if len(F):
+                members, want = archive_insert_oracle(members, F, capacity)
+                assert accepted == want
+            assert arc.objectives().tobytes() == members.tobytes()

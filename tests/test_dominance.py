@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mobench import dominance
@@ -15,6 +15,7 @@ from mobench.dominance import (
 from mobench.errors import InvalidInputError
 
 from oracles import (
+    crowded_selection_oracle,
     crowding_oracle,
     dominates_scalar,
     distinct_non_dominated_python,
@@ -31,7 +32,7 @@ from strategies import objective_rows
 def select(points, k):
     """Environmental selection as the engine does it: the first ``k`` rows
     in crowded order."""
-    return crowded_order(*rank_and_crowd(points))[:k]
+    return dominance.select(points, k)[0]
 
 
 def two_row_ranks(a, b):
@@ -331,6 +332,73 @@ class TestTwoObjectiveSweep:
     @given(distinct_two_objective_rows())
     def test_rank_and_crowd_of_distinct_rows_matches_oracle(self, points):
         assert_rank_and_crowd_match_oracle(points)
+
+
+@st.composite
+def front_heavy_rows(draw):
+    """Two-column matrices of 1..60 rows most of which lie on one falling
+    line, on a grid, so front 0 is large and sometimes holds repeats;
+    the other rows lie behind it."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 40, n).astype(float)
+    y = 40.0 - x + np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5])), 3.0, 0.0)
+    F = np.column_stack([x, y])
+    if draw(st.booleans()):  # distinct rows only
+        F = np.unique(F, axis=0)
+        F = F[rng.permutation(len(F))]
+    return F.tolist()
+
+
+def select_branch(points, k) -> str:
+    """Which case of ``dominance.select`` the rows fall in, from the oracle."""
+    if len(points[0]) != 2:
+        return "m != 2: whole sort"
+    rank, _ = rank_and_crowd_oracle(points)
+    front = [tuple(p) for p, r in zip(points, rank) if r == 0]
+    if len(front) < k:
+        return "front 0 below k: whole sort"
+    if len(set(front)) < len(front):
+        return "front 0 with repeats"
+    return "front 0 chain"
+
+
+class TestSelect:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda m: objective_rows(m=m, extremes=False)) | front_heavy_rows(),
+        st.data(),
+    )
+    def test_matches_the_crowded_oracle(self, points, data):
+        # the first k rows in crowded order and the front-0 mask, whichever
+        # case serves them; run with --hypothesis-show-statistics for the
+        # share of each case
+        k = data.draw(st.integers(1, len(points)))
+        event(select_branch(points, k))
+        keep, top = dominance.select(points, k)
+        want_keep, want_top = crowded_selection_oracle(points, k)
+        assert keep.tolist() == want_keep.tolist()
+        assert top.tolist() == want_top.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: objective_rows(m=m, extremes=False)) | front_heavy_rows())
+    def test_crowded_first_is_the_oracle_selection_of_one(self, points):
+        assert dominance.crowded_first(points) == crowded_selection_oracle(points, 1)[0][0]
+
+    @pytest.mark.parametrize(
+        "points, k, branch",
+        [
+            ([(0, 3), (1, 2), (2, 1), (3, 0), (3, 3)], 3, "front 0 chain"),
+            ([(0, 3), (1, 2), (1, 2), (3, 0), (3, 3)], 4, "front 0 with repeats"),
+            ([(0, 3), (1, 2), (3, 0), (3, 3), (4, 4)], 4, "front 0 below k: whole sort"),
+            ([(0, 3, 1), (1, 2, 1), (3, 0, 1), (3, 3, 1)], 2, "m != 2: whole sort"),
+        ],
+    )
+    def test_each_case_matches_the_oracle(self, points, k, branch):
+        assert select_branch(points, k) == branch
+        keep, top = dominance.select(points, k)
+        want_keep, want_top = crowded_selection_oracle(points, k)
+        assert keep.tolist() == want_keep.tolist() and top.tolist() == want_top.tolist()
 
 
 @st.composite

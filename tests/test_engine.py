@@ -3,18 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mobench import archive as archive_module
-from mobench import dominance
 from mobench import engine as engine_module
 from mobench import molpb
 from mobench.archive import ParetoArchive
-from mobench.dominance import non_dominated_sort
+from mobench.dominance import crowded_order, non_dominated_sort, rank_and_crowd
 from mobench.errors import InvalidStateError
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
 from mobench.suite import get_problem
 
 from oracles import (
+    crowded_selection_oracle,
     distinct_non_dominated_python,
     partition_recount,
     rank_and_crowd_oracle,
@@ -123,6 +122,27 @@ def on_grid(problem, step):
     )
 
 
+def oracle_insert(truncate):
+    """An archive insert whose keep rule is the brute-force one and whose
+    truncation is ``truncate(archive)``."""
+
+    def insert(self, F):
+        new = np.atleast_2d(np.asarray(F, dtype=float))
+        if new.size == 0:
+            return 0
+        stacked = np.concatenate([self._F, new]) if len(self) else new
+        keep = np.array(distinct_non_dominated_python(stacked.tolist()), dtype=bool)
+        self._F = stacked[keep]
+        truncate(self)
+        return int(keep[len(stacked) - len(new):].sum())
+
+    return insert
+
+
+def crowded_best(rank, crowd) -> int:
+    return int(crowded_order(rank, crowd)[0])
+
+
 @pytest.mark.parametrize(
     "problem",
     [
@@ -134,10 +154,11 @@ def on_grid(problem, step):
 )
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monkeypatch):
-    # one-pass crowding and incremental truncation are exact: a run is
-    # byte-identical to one that ranks front by front and recomputes every
-    # crowding distance after each archive drop; the gridded problem makes
-    # the tie rule matter
+    # one-pass and front-0-only crowding, the extremes pivot and
+    # incremental truncation are exact: a run is byte-identical to one that
+    # ranks front by front, selects by sorting rows one at a time, and
+    # recomputes every crowding distance after each archive drop; the
+    # gridded problem makes the tie rule matter
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -153,11 +174,17 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
         drops.append(len(self._F) - len(kept))
         self._F = self._F[kept]
 
-    monkeypatch.setattr(ParetoArchive, "truncate", oracle_truncate)
-    monkeypatch.setattr(engine_module, "rank_and_crowd", rank_and_crowd_oracle)
+    monkeypatch.setattr(ParetoArchive, "insert", oracle_insert(oracle_truncate))
+    monkeypatch.setattr(engine_module, "select", crowded_selection_oracle)
     monkeypatch.setattr(molpb, "rank_and_crowd", rank_and_crowd_oracle)
+    monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*rank_and_crowd_oracle(F)))
     assert run() == fast
     assert sum(drops) > 0
+
+
+def recount_rank_and_crowd(F):
+    """Ranks by recounting dominators, with the library's crowding."""
+    return rank_array(partition_recount(F)), rank_and_crowd(F)[1]
 
 
 @pytest.mark.parametrize(
@@ -172,8 +199,9 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
 )
 def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monkeypatch):
     # whatever scheme ranks the rows and picks the archive's survivors, a
-    # run is byte-identical to one that sorts by recounting dominators
-    # and keeps the rows that no row dominates and no earlier row equals
+    # run is byte-identical to one that sorts by recounting dominators,
+    # keeps the rows that no row dominates and no earlier row equals, and
+    # truncates with the general many-objective code
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -182,8 +210,13 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
         return engine.X.tobytes(), engine.F.tobytes(), front.tobytes()
 
     fast = run()
-    monkeypatch.setattr(dominance, "non_dominated_sort", lambda F: rank_array(partition_recount(F)))
-    monkeypatch.setattr(
-        archive_module, "non_dominated", lambda F: np.array(distinct_non_dominated_python(F), dtype=bool)
-    )
+
+    def recount_select(F, k):
+        rank, crowd = recount_rank_and_crowd(F)
+        return crowded_order(rank, crowd)[:k], rank == 0
+
+    monkeypatch.setattr(ParetoArchive, "insert", oracle_insert(ParetoArchive.truncate))
+    monkeypatch.setattr(engine_module, "select", recount_select)
+    monkeypatch.setattr(molpb, "rank_and_crowd", recount_rank_and_crowd)
+    monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*recount_rank_and_crowd(F)))
     assert run() == fast

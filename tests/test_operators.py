@@ -11,7 +11,7 @@ from mobench.errors import InvalidConfigError
 from mobench.operators import polynomial_mutation, sbx_crossover
 from mobench.suite import get_problem
 
-from oracles import polynomial_mutation_dense
+from oracles import polynomial_mutation_dense, sbx_crossover_two_powers
 
 
 class TestVariationConfig:
@@ -190,3 +190,48 @@ class TestPolynomialMutation:
         want = polynomial_mutation_dense(x, lower, upper, dense_rng, prob, operators.DISTRIBUTION_INDEX)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+def contract_cases():
+    """(name, x, lower, upper): a matrix inside the bounds, one with
+    coordinates outside them, one of signed zeros at a 0.0 bound, and a
+    single row of each. One variable has bounds of zero width at 0.0."""
+    setup = np.random.default_rng(21)
+    lower = np.array([0.0, -1.0, 0.0, 2.0, -3.0])
+    upper = np.array([1.0, 1.0, 0.0, 5.0, 0.0])
+    inside = setup.uniform(lower, upper, (60, 5))
+    outside = inside.copy()
+    outside[::3, 1], outside[1::3, 3], outside[2::3, 4] = 7.0, -4.0, 0.5
+    zeros = np.tile([-0.0, 0.0, -0.0, 2.0, -0.0], (60, 1))
+    zeros[::2] = [0.0, -0.0, 0.0, 2.0, 0.0]
+    cases = [("inside", inside), ("outside", outside), ("signed-zeros", zeros)]
+    return [
+        pytest.param(x[rows], lower, upper, id=f"{name}-{shape}")
+        for name, x in cases
+        for rows, shape in ((slice(None), "60x5"), (7, "1-D"))
+    ]
+
+
+class TestVariationContract:
+    """Both operators stay byte-identical to the formulas they replaced,
+    with the same draws, on the inputs where clamping and signed zeros
+    decide the bytes."""
+
+    @pytest.mark.parametrize("prob", [0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("x, lower, upper", contract_cases())
+    def test_polynomial_mutation_matches_the_dense_formula(self, x, lower, upper, prob, monkeypatch):
+        monkeypatch.setattr(operators, "MUTATION_PROB", prob)
+        rng, dense_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = polynomial_mutation(x, lower, upper, rng)
+        want = polynomial_mutation_dense(x, lower, upper, dense_rng, prob, operators.DISTRIBUTION_INDEX)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == dense_rng.bit_generator.state
+
+    @pytest.mark.parametrize("x, lower, upper", contract_cases())
+    def test_sbx_matches_the_two_power_formula(self, x, lower, upper):
+        other = x[::-1] if x.ndim == 2 else x[::-1].copy()
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = sbx_crossover(x, other, lower, upper, rng)
+        want = sbx_crossover_two_powers(x, other, lower, upper, ref_rng, operators.DISTRIBUTION_INDEX)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
