@@ -257,12 +257,17 @@ def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
     if F.shape[1] != 2:
         rank = _peel(F)
         return rank, _crowding(F, rank)
-    order, f1, f2, best = sort = _front_zero(F)
+    return _rank_and_crowd_sorted(F, *_front_zero(F))
+
+
+def _rank_and_crowd_sorted(F, order, f1, f2, best) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rank_and_crowd` of a two-column ``F`` from its
+    :func:`_front_zero` sort."""
     if best.all():  # a single front of distinct rows: one chain
         crowd = np.empty(len(F))
         crowd[order] = _chain(f1, f2)
         return np.zeros(len(F), dtype=int), crowd
-    rank, same = _sweep(*sort)
+    rank, same = _sweep(order, f1, f2, best)
     return rank, _crowding(F, rank) if same.any() else _chains(F, rank, order)
 
 
@@ -273,8 +278,10 @@ def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``k`` rows in front 0, only front 0 is crowded: a repeat of a front-0
     row is in front 0 too, so front 0 is one chain unless it holds one."""
     F = _sortable(points)
-    if F.shape[1] == 2:
-        order, f1, f2, best = _front_zero(F)
+    if F.shape[1] != 2:
+        rank, crowd = rank_and_crowd(F)
+    else:
+        order, f1, f2, best = sort = _front_zero(F)
         same, head = _runs(f1, f2)
         # a repeat takes the front of the first row of its run
         zero = best[head][head.cumsum() - 1] if same.any() else best
@@ -288,7 +295,7 @@ def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
             top = np.zeros(len(F), dtype=bool)
             top[rows] = True
             return rows[np.lexsort((rows, -crowd))[:k]], top
-    rank, crowd = rank_and_crowd(F)
+        rank, crowd = _rank_and_crowd_sorted(F, *sort)
     return crowded_order(rank, crowd)[:k], rank == 0
 
 
