@@ -73,8 +73,6 @@ def verdicts(pairs: list[dict], metrics: dict[str, str]) -> list[dict]:
             side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
             for side in ("base", "change")
         }
-        if any(v is None for vs in sides.values() for v in vs):
-            continue
         lower = better == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(sides["base"], sides["change"]))
         (b1, b2, b3), (c1, c2, c3) = quartiles(sides["base"]), quartiles(sides["change"])
@@ -82,7 +80,7 @@ def verdicts(pairs: list[dict], metrics: dict[str, str]) -> list[dict]:
             "metric": name, "better": better,
             "base": {"q1": b1, "median": b2, "q3": b3},
             "change": {"q1": c1, "median": c2, "q3": c3},
-            "ratio": c2 / b2 if b2 else None,
+            "ratio": c2 / b2 if b2 else math.nan,
             "wins": wins, "pairs": len(pairs),
             "beyond_base_iqr": abs(c2 - b2) > b3 - b1,
         })
@@ -104,10 +102,12 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    record = {"git_sha": git("rev-parse", "HEAD"), "dirty": dirty, "seconds": args.seconds, "runs": []}
+    # whether the measured code (the package and the benchmark) differs from HEAD
+    dirty = bool(git("status", "--porcelain", "--", "src", "bench/run_bench.py", "bench/spans.py"))
+    record = {"git_sha": git("rev-parse", "HEAD"), "dirty": dirty, "seconds": args.seconds}
 
     if not args.base:
+        record["runs"] = []
         for workload in workloads:
             for seed in args.seeds:
                 record["runs"].append({"workload": workload, "seed": seed, "trace": 0,
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
                         b, c = v["base"], v["change"]
                         print(f"  {v['metric']:12s} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
                               f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                              f"  ratio {v['ratio'] or math.nan:.3f}  wins {v['wins']}/{v['pairs']}"
+                              f"  ratio {v['ratio']:.3f}  wins {v['wins']}/{v['pairs']}"
                               f"  beyond base IQR: {'yes' if v['beyond_base_iqr'] else 'no'}")
 
     if args.label:
