@@ -28,15 +28,14 @@ O(m * n^2) matrix ``le``, and the sort uses the domination-count scheme on
 one pass per objective; with two objectives and no repeated row it reuses
 the sort's order for both objectives instead. A front of distinct rows
 listed by rising f1 is a chain, along which f2 strictly falls, so its
-crowding is one shifted difference per objective (:func:`_chain`); when
-front 0 holds every row, :func:`rank_and_crowd` returns that and runs no
-sweep. :func:`select` is NSGA-II's environmental selection of ``k`` rows,
+crowding is one shifted difference per objective (:func:`_chain`).
+:func:`select` is NSGA-II's environmental selection of ``k`` rows,
 the first ``k`` indices of :func:`crowded_order` (whole fronts while they
 fit, then the overflowing front by descending crowding), with the front-0
 mask. With two objectives, when front 0 holds at least ``k`` rows, which
 is the common case, it crowds front 0 alone and never sorts the rest.
-:func:`crowded_first` finds the first row in crowded order from front
-0's extremes alone.
+:func:`crowded_first` finds the first row in crowded order; with two
+objectives it reads front 0's extremes alone.
 """
 
 from __future__ import annotations
@@ -263,10 +262,6 @@ def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
 def _rank_and_crowd_sorted(F, order, f1, f2, best) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rank_and_crowd` of a two-column ``F`` from its
     :func:`_front_zero` sort."""
-    if best.all():  # a single front of distinct rows: one chain
-        crowd = np.empty(len(F))
-        crowd[order] = _chain(f1, f2)
-        return np.zeros(len(F), dtype=int), crowd
     rank, same = _sweep(order, f1, f2, best)
     return rank, _crowding(F, rank) if same.any() else _chains(F, rank, order)
 
@@ -301,19 +296,17 @@ def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def crowded_first(points) -> int:
     """The first index of :func:`crowded_order` of the rows' ranks and
-    crowding. The rows with infinite crowding, which come first, are front
-    0's first and last rows in each objective's (value, index) order, so
-    it is the lowest index among them. With two objectives those are the
-    first rows of front 0's first and last runs of equal rows in (f1, f2)
-    order."""
+    crowding. With two objectives the rows with infinite crowding, which
+    come first, are front 0's first and last rows in each objective's
+    (value, index) order, that is the first rows of front 0's first and
+    last runs of equal rows in (f1, f2) order, so it is the lower index of
+    those two. With one or three and more objectives it ranks and crowds
+    every row."""
     F = _sortable(points)
-    if F.shape[1] == 2:
-        order, _, _, best = _front_zero(F)
-        return int(min(order[0], order[np.flatnonzero(best)[-1]]))
-    rows = np.flatnonzero(_peel(F) == 0)
-    G = F[rows]
-    ends = np.concatenate([G.argmin(axis=0), len(G) - 1 - G[::-1].argmax(axis=0)])
-    return int(rows[ends.min()])
+    if F.shape[1] != 2:
+        return int(crowded_order(*rank_and_crowd(F))[0])
+    order, _, _, best = _front_zero(F)
+    return int(min(order[0], order[np.flatnonzero(best)[-1]]))
 
 
 def crowded_order(rank, crowd) -> np.ndarray:

@@ -7,9 +7,9 @@ one child per row, with one draw of uniforms per call (a single vector
 is one row). All operators take an explicit numpy Generator and are pure
 given it. Both read the paper's fixed settings below. Polynomial mutation
 draws its mask and its uniforms for every coordinate, so the random
-stream does not depend on which coordinates mutate, but computes and
-adds the perturbation only for those that do. Each operator takes one
-power per coordinate it perturbs, of a base chosen first.
+stream does not depend on which coordinates mutate, but evaluates the
+perturbation's powers only for those that do. SBX takes one power per
+coordinate, of a base chosen first.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     mask = rng.random(x.shape) < MUTATION_PROB
     u = rng.random(x.shape)[mask]
-    low = u < 0.5
-    power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (DISTRIBUTION_INDEX + 1.0))
-    delta = np.where(low, power - 1.0, 1.0 - power)
-    span = np.broadcast_to(np.asarray(upper) - np.asarray(lower), x.shape)
-    out = x.copy()
-    out[mask] += delta * span[mask]
+    exponent = 1.0 / (DISTRIBUTION_INDEX + 1.0)
+    delta = np.zeros(x.shape)
+    delta[mask] = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
+    out = np.where(mask, x + delta * (np.asarray(upper) - np.asarray(lower)), x)
     return np.clip(out, lower, upper, out=out)
