@@ -257,20 +257,21 @@ def load_summaries(directory) -> dict[str, list[dict]]:
     """Read every summary_*.json under a campaign output directory into
     ``{problem: [summaries sorted by algorithm]}``, problems sorted, each
     group one :func:`tabulate` call. Raises :class:`FrontFileError` naming
-    the file when one is not valid JSON, lacks a key that the table reads
-    (:data:`BUDGET_KEYS` too) or holds a wrong type or value there (names
-    must be a registered algorithm and problem, so no name can steer where
-    the table CSV goes or split its header; stats must be finite real
-    numbers); once every file passes, raises :class:`InvalidConfigError`
-    when there is none, or when one problem's summaries differ in a
-    :data:`BUDGET_KEYS` field."""
+    the file when one is not valid UTF-8 JSON (or nests too deep to
+    parse), lacks a key that the table reads (:data:`BUDGET_KEYS` too) or
+    holds a wrong type or value there (names must be a registered
+    algorithm and problem, so no name can steer where the table CSV goes
+    or split its header; stats must be finite real numbers); once every
+    file passes, raises :class:`InvalidConfigError` when there is none,
+    or when one problem's summaries differ in a :data:`BUDGET_KEYS`
+    field."""
     directory = Path(directory)
     registered = {"algorithm": ALGORITHMS, "problem": problem_names()}
     groups: dict[str, list[dict]] = {}
     for path in sorted(directory.glob("summary_*.json")):
         try:
             summary = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise FrontFileError(f"{path}: not a valid summary: {exc}") from exc
         try:  # every key that tabulate and the table command read
             names = {key: summary[key] for key in ("algorithm", "problem")}

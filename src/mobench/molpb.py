@@ -14,11 +14,12 @@ external archive whose contents are the reported front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import crowded_first, crowded_order, rank_and_crowd
+from .dominance import _chain, _front_zero, crowded_first, crowded_order, rank_and_crowd
 from .engine import Engine, EngineConfig
 from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
 
@@ -93,6 +94,41 @@ def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(kept & ahead), np.flatnonzero(kept & ~ahead)
 
 
+def _chain_route(F, separated, main):
+    """The good and bad halves of ``separated`` and the (perfect, good
+    extension) rows of ``main``, as :func:`split_good_bad`,
+    :func:`best_of_bad`, :func:`filter_main` and :func:`route_main` give
+    them, when the population ``F`` is one chain; otherwise ``None``.
+
+    ``F`` is one chain when it has two objectives and :func:`_front_zero`
+    marks every row, so that no row repeats or dominates another. Every
+    subset is then one front, whose crowding is :func:`_chain` along the
+    population's (f1, f2) order restricted to the subset. No main row is
+    pruned, so the joint ranking is the whole population's, and a pivot
+    precedes a main row exactly when the row's crowding is larger than
+    the largest of the pivot's half. A span that overflows would give
+    NaN crowding, so such a population takes the general path too.
+    """
+    if F.shape[1] != 2:
+        return None
+    order, f1, f2, best = _front_zero(F)
+    if not best.all() or not math.isfinite(float(f1[-1]) - float(f1[0]) + float(f2[0]) - float(f2[-1])):
+        return None
+    n = len(F)
+    crowd = np.empty(n)
+    crowd[order] = _chain(f1, f2)
+    at = np.full(n, -1)
+    at[separated] = np.arange(len(separated))
+    on = at[order] >= 0
+    rows = order[on]  # the separated rows along the chain
+    ranked = rows[np.lexsort((at[rows], -_chain(f1[on], f2[on])))]
+    good, bad = ranked[: len(ranked) // 2], ranked[len(ranked) // 2 :]
+    c = crowd[main]
+    kept = c > crowd[bad].max()
+    ahead = c > crowd[good].max()
+    return good, bad, main[kept & ahead], main[kept & ~ahead]
+
+
 class MolpbEngine(Engine):
     algorithm = "molpb"
 
@@ -107,10 +143,14 @@ class MolpbEngine(Engine):
         perm = self.rng.permutation(cfg.n_pop)
         split = int(DP * cfg.n_pop + 0.5)  # half-up; in [2, n_pop - 1] for n_pop >= 4
         separated, main = perm[:split], perm[split:]
-        good_rows, bad_rows = split_good_bad(F[separated])
-        good, bad = separated[good_rows], separated[bad_rows]
-        main = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
-        perfect, extension = (main[i] for i in route_main(F[main], F[good], F[bad]))
+        chain = _chain_route(F, separated, main)
+        if chain is not None:
+            good, bad, perfect, extension = chain
+        else:
+            good_rows, bad_rows = split_good_bad(F[separated])
+            good, bad = separated[good_rows], separated[bad_rows]
+            main = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
+            perfect, extension = (main[i] for i in route_main(F[main], F[good], F[bad]))
 
         cut = len(good) - len(good) // 2
         first, second = good[:cut], good[cut:]

@@ -61,7 +61,8 @@ def write_front_csv(path, front: np.ndarray) -> None:
 
 def read_front_csv(path) -> np.ndarray:
     """Parse a front CSV; raises :class:`FrontFileError` on malformed files
-    and on non-finite values (``nan``, ``inf``)."""
+    (text that is not UTF-8 included) and on non-finite values (``nan``,
+    ``inf``)."""
     return _read_front(path)[0]
 
 
@@ -69,7 +70,10 @@ def _read_front(path) -> tuple[np.ndarray, list[int]]:
     """:func:`read_front_csv`'s front, and the file line number (the first
     line is 1) of each of its rows; blank lines are skipped but counted."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrontFileError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FrontFileError(f"{path}: empty front file")

@@ -1,15 +1,19 @@
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobench import cli, harness
 from mobench.cli import main
+from mobench.errors import FrontFileError
 from mobench.harness import BUDGET_KEYS, STAT_ROWS, CampaignConfig
-from mobench.results import write_front_csv
+from mobench.results import read_front_csv, write_front_csv
 
 _execute_run = harness._execute_run
 
@@ -363,3 +367,113 @@ def test_table_summary_without_budget_field_exits_3(tmp_path, capsys, field):
     assert main(["table", "--in", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "summary_molpb_zdt1.json" in err and repr(field) in err
+
+
+@pytest.mark.parametrize("bad_file", ["front", "reference"])
+def test_score_file_that_is_not_utf8_exits_3(tmp_path, capsys, bad_file):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("front", "reference")}
+    for path in paths.values():
+        write_front_csv(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    paths[bad_file].write_bytes(b"f1,f2\n\xff,1\n")
+    code = main(["score", "--front", str(paths["front"]), "--reference", str(paths["reference"])])
+    assert code == 3
+    assert f"{bad_file}.csv: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+def test_table_summary_that_cannot_be_parsed_exits_3(tmp_path, capsys, data):
+    (tmp_path / "summary_nsga2_zdt1.json").write_bytes(data)
+    assert main(["table", "--in", str(tmp_path)]) == 3
+    assert "summary_nsga2_zdt1.json: not a valid summary" in capsys.readouterr().err
+
+
+# bytes that are mostly not a front, or a valid head followed by anything
+FILE_BYTES = st.binary(max_size=200) | st.builds(
+    bytes.__add__, st.sampled_from([b"f1,f2\n", b"f1,f2\n0.5,0.5\n", b"f1,f2\r\n1,0\n"]),
+    st.binary(max_size=100),
+)
+
+
+@pytest.mark.parametrize("bad_file", ["front", "reference"])
+def test_score_any_bytes_give_a_score_or_exit_3(tmp_path, capsys, bad_file):
+    # a file reads as a finite float matrix or raises FrontFileError, and
+    # the command exits 0 or 3 accordingly, never with a traceback
+    paths = {name: tmp_path / f"{name}.csv" for name in ("front", "reference")}
+    for path in paths.values():
+        write_front_csv(path, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    argv = ["score", "--front", str(paths["front"]), "--reference", str(paths["reference"])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(FILE_BYTES)
+    def check(data):
+        paths[bad_file].write_bytes(data)
+        try:
+            F = read_front_csv(paths[bad_file])
+        except FrontFileError:
+            F = None
+        else:
+            assert F.dtype == np.float64 and F.ndim == 2 and np.isfinite(F).all()
+        assert main(argv) == (3 if F is None or F.shape[1] != 2 else 0)
+        capsys.readouterr()
+
+    check()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(FINITE, min_size=m + 1, max_size=m + 1), min_size=1, max_size=8)))
+def test_front_csv_round_trip_keeps_every_float_bit(rows):
+    # 17 significant digits bring back every finite float64, -0.0,
+    # subnormals and +-max included
+    F = np.array(rows, dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "front.csv"
+        write_front_csv(path, F)
+        assert read_front_csv(path).tobytes() == F.tobytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def test_table_any_single_field_replacement_gives_a_table_or_exit_2_or_3(tmp_path, capsys):
+    # one field of one of two valid summaries, top-level or a stats row,
+    # becomes any JSON value or raw bytes; text may hold a lone surrogate,
+    # whose UTF-8 form no decoder accepts
+    _write_summary(tmp_path, "molpb")
+    valid = {"algorithm": "nsga2", "problem": "zdt1", **BUDGET, "stats": dict.fromkeys(STAT_ROWS, 0.5)}
+    fields = [(key,) for key in valid] + [("stats", row) for row in STAT_ROWS]
+    target = tmp_path / "summary_nsga2_zdt1.json"
+    marker = "@@field@@"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(fields), JSON_VALUES | st.binary(max_size=20))
+    def check(field, value):
+        summary = json.loads(json.dumps(valid))
+        *parents, key = field
+        holder = summary
+        for name in parents:
+            holder = holder[name]
+        holder[key] = marker
+        if isinstance(value, bytes):
+            token = value
+        else:
+            token = json.dumps(value, ensure_ascii=False).encode("utf-8", "surrogatepass")
+        target.write_bytes(json.dumps(summary).encode().replace(json.dumps(marker).encode(), token))
+        for table in tmp_path.glob("table_*.csv"):
+            table.unlink()
+        code = main(["table", "--in", str(tmp_path)])
+        assert code in (0, 2, 3)
+        assert (code == 0) == (tmp_path / "table_zdt1.csv").exists()
+        capsys.readouterr()
+
+    check()

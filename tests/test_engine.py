@@ -154,11 +154,12 @@ def crowded_best(rank, crowd) -> int:
 )
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monkeypatch):
-    # one-pass and front-0-only crowding, the extremes pivot and
-    # incremental truncation are exact: a run is byte-identical to one that
-    # ranks front by front, selects by sorting rows one at a time, and
-    # recomputes every crowding distance after each archive drop; the
-    # gridded problem makes the tie rule matter
+    # one-pass and front-0-only crowding, the extremes pivot, MOLPB's
+    # chain path and incremental truncation are exact: a run is
+    # byte-identical to one that ranks front by front, selects by sorting
+    # rows one at a time, splits and routes every MOLPB generation through
+    # the oracle-patched helpers, and recomputes every crowding distance
+    # after each archive drop; the gridded problem makes the tie rule matter
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -178,6 +179,7 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
     monkeypatch.setattr(engine_module, "select", crowded_selection_oracle)
     monkeypatch.setattr(molpb, "rank_and_crowd", rank_and_crowd_oracle)
     monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*rank_and_crowd_oracle(F)))
+    monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
     assert run() == fast
     assert sum(drops) > 0
 
@@ -201,7 +203,8 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
     # whatever scheme ranks the rows and picks the archive's survivors, a
     # run is byte-identical to one that sorts by recounting dominators,
     # keeps the rows that no row dominates and no earlier row equals, and
-    # truncates with the general many-objective code
+    # truncates with the general many-objective code; the patched MOLPB
+    # run never takes the chain path, so its helpers see every generation
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -219,4 +222,5 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
     monkeypatch.setattr(engine_module, "select", recount_select)
     monkeypatch.setattr(molpb, "rank_and_crowd", recount_rank_and_crowd)
     monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*recount_rank_and_crowd(F)))
+    monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
     assert run() == fast

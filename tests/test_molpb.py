@@ -147,6 +147,31 @@ def populations(draw):
     return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
 
 
+@st.composite
+def chains(draw):
+    """Two-column populations of 4-40 rows in shuffled order: one chain
+    (distinct rows, none dominating another), or a chain plus one row that
+    repeats a member or that a member dominates. The chain steps by 1 or 2
+    on a scaled grid, so equal crowding distances are common; it starts at
+    f1 = 0.0 and ends at f2 = 0.0, so a repeat there may be ``-0.0``; at
+    the largest scale the sum of the two spans can overflow."""
+    kind = draw(st.sampled_from(["chain", "repeat", "dominated"]))
+    n = draw(st.integers(4, 40)) - (kind != "chain")
+    steps = draw(st.lists(st.integers(1, 2), min_size=2 * n - 2, max_size=2 * n - 2))
+    scale = draw(st.sampled_from([1.0, 0.1, 2e306]))
+    f1 = np.concatenate([[0], np.cumsum(steps[: n - 1])]) * scale
+    f2 = np.concatenate([np.cumsum(steps[n - 1 :])[::-1], [0]]) * scale
+    F = np.column_stack([f1, f2])
+    if kind != "chain":
+        row = F[draw(st.integers(0, n - 1))]
+        if kind == "repeat":
+            extra = np.where(row == 0, draw(st.sampled_from([0.0, -0.0])), row)
+        else:
+            extra = row + scale * np.array(draw(st.sampled_from([(0, 1), (1, 0), (2, 1)])))
+        F = np.vstack([F, extra])
+    return F[draw(st.permutations(range(len(F))))]
+
+
 class TestMatingOracle:
     @settings(max_examples=200, deadline=None)
     @given(populations(), st.integers(0, 2**32 - 1))
@@ -161,6 +186,51 @@ class TestMatingOracle:
         want_a, want_b = molpb_mating_oracle(F, rng)
         assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
         assert engine.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_chain_path_matches_the_row_by_row_oracle(self, monkeypatch):
+        # a population that is one chain takes the chain path, a near-chain
+        # (or one whose spans overflow) the general one; both give the
+        # oracle's pairs from the same draws
+        taken = {True: 0, False: 0}
+        chain_route = molpb._chain_route
+
+        def counted(F, separated, main):
+            routed = chain_route(F, separated, main)
+            taken[routed is not None] += 1
+            return routed
+
+        monkeypatch.setattr(molpb, "_chain_route", counted)
+
+        @settings(max_examples=200, deadline=None)
+        @given(chains(), st.integers(0, 2**32 - 1))
+        def check(F, seed):
+            engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
+            engine.F = F
+            rng = np.random.default_rng(seed)
+            a, b = engine.mating()
+            want_a, want_b = molpb_mating_oracle(F, rng)
+            assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+            assert engine.rng.bit_generator.state == rng.bit_generator.state
+
+        check()
+        assert taken[True] > 0 and taken[False] > 0
+
+    def test_a_chain_whose_spans_overflow_takes_the_general_path(self, monkeypatch):
+        # the neighbour gap of the row at f1 = 0 overflows, as do both
+        # spans, so its crowding is NaN, which only the general path orders
+        # (last); so that population gives the general path's pairs
+        f1 = np.array([-1.6e308, -1.2e308, -1e308, 0.0, 1e308, 1.2e308, 1.6e308, 1.7e308])
+        F = np.column_stack([f1, -f1])[[5, 2, 7, 0, 3, 6, 1, 4]]
+
+        def pairs(seed):
+            engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
+            engine.F = F
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [x.tolist() for x in engine.mating()]
+
+        fast = [pairs(seed) for seed in range(40)]
+        monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
+        assert fast == [pairs(seed) for seed in range(40)]
 
 
 class TestEngine:
