@@ -10,6 +10,18 @@ borrowing from the bad half when the perfect one runs out. Offspring
 re-enter through an elitist merge with rank/crowding selection, and the
 offspring in the merged set's first front are offered, once, to a bounded
 external archive whose contents are the reported front.
+
+Most two-objective generations mate a population that is one chain: no
+row repeats or dominates another, so sorted by (f1, f2) its f2 strictly
+falls. Then every subset is a single front whose crowding is
+:func:`~mobench.dominance._chain` along that one order, the best of the
+bad half prunes nothing, and the joint ranking of main + good + bad is
+the whole population's, so a pivot precedes a main row exactly when the
+row's crowding is larger than the largest of the pivot's half.
+:meth:`MolpbEngine.mating` reads such a generation from the population's
+one sort (:func:`_chain_route`) and gives the same pairs from the same
+draws; every other population goes through :func:`split_good_bad`,
+:func:`best_of_bad`, :func:`filter_main` and :func:`route_main`.
 """
 
 from __future__ import annotations
@@ -101,28 +113,27 @@ def _chain_route(F, separated, main):
     them, when the population ``F`` is one chain; otherwise ``None``.
 
     ``F`` is one chain when it has two objectives and :func:`_front_zero`
-    marks every row, so that no row repeats or dominates another. Every
-    subset is then one front, whose crowding is :func:`_chain` along the
-    population's (f1, f2) order restricted to the subset. No main row is
-    pruned, so the joint ranking is the whole population's, and a pivot
-    precedes a main row exactly when the row's crowding is larger than
-    the largest of the pivot's half. A span that overflows would give
-    NaN crowding, so such a population takes the general path too.
+    marks every row. The separated group's crowding is :func:`_chain`
+    along the population's order restricted to the group, and its
+    crowded order breaks ties by position in ``separated``. Spans that
+    overflow could make a crowding NaN, which only the general path
+    orders, so such a population takes it too.
     """
     if F.shape[1] != 2:
         return None
     order, f1, f2, best = _front_zero(F)
-    if not best.all() or not math.isfinite(float(f1[-1]) - float(f1[0]) + float(f2[0]) - float(f2[-1])):
+    spans = float(f1[-1]) - float(f1[0]) + float(f2[0]) - float(f2[-1])
+    if not (best.all() and math.isfinite(spans)):
         return None
-    n = len(F)
-    crowd = np.empty(n)
+    crowd = np.empty(len(F))
     crowd[order] = _chain(f1, f2)
-    at = np.full(n, -1)
+    at = np.full(len(F), -1)  # each row's position in separated
     at[separated] = np.arange(len(separated))
     on = at[order] >= 0
     rows = order[on]  # the separated rows along the chain
     ranked = rows[np.lexsort((at[rows], -_chain(f1[on], f2[on])))]
-    good, bad = ranked[: len(ranked) // 2], ranked[len(ranked) // 2 :]
+    half = len(ranked) // 2
+    good, bad = ranked[:half], ranked[half:]
     c = crowd[main]
     kept = c > crowd[bad].max()
     ahead = c > crowd[good].max()

@@ -32,10 +32,9 @@ def sbx_crossover(p1, p2, lower, upper, rng) -> tuple[np.ndarray, np.ndarray]:
     u = rng.random(p1.shape)
     base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
     beta = base ** (1.0 / (DISTRIBUTION_INDEX + 1.0))
-    plus, minus = 1.0 + beta, 1.0 - beta
-    c1 = 0.5 * (plus * p1 + minus * p2)
-    c2 = 0.5 * (minus * p1 + plus * p2)
-    return c1.clip(lower, upper, out=c1), c2.clip(lower, upper, out=c2)
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(c1, lower, upper, out=c1), np.clip(c2, lower, upper, out=c2)
 
 
 def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
@@ -49,4 +48,4 @@ def polynomial_mutation(x, lower, upper, rng) -> np.ndarray:
     delta = np.zeros(x.shape)
     delta[mask] = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
     out = np.where(mask, x + delta * (np.asarray(upper) - np.asarray(lower)), x)
-    return out.clip(lower, upper, out=out)
+    return np.clip(out, lower, upper, out=out)

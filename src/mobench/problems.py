@@ -132,7 +132,7 @@ def decode(x_raw: Sequence[float] | np.ndarray, spec: ProblemSpec) -> np.ndarray
         raise InvalidInputError(
             f"{spec.name}: expected {spec.n_vars} variables per row, got shape {x.shape}"
         )
-    x = x.clip(spec.lower, spec.upper)
+    x = np.clip(x, spec.lower, spec.upper)
     if spec._integer_indices.size:
         ints = x[..., spec._integer_indices]
         x[..., spec._integer_indices] = np.copysign(np.floor(np.abs(ints) + 0.5), ints)
