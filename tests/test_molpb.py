@@ -172,20 +172,23 @@ def chains(draw):
     return F[draw(st.permutations(range(len(F))))]
 
 
+def assert_mating_matches_oracle(F, seed):
+    # the same pairs from the same draws: both calls leave the generator
+    # in the same state
+    engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
+    engine.F = F
+    rng = np.random.default_rng(seed)
+    a, b = engine.mating()
+    want_a, want_b = molpb_mating_oracle(F, rng)
+    assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+    assert engine.rng.bit_generator.state == rng.bit_generator.state
+
+
 class TestMatingOracle:
     @settings(max_examples=200, deadline=None)
     @given(populations(), st.integers(0, 2**32 - 1))
     def test_mating_matches_the_row_by_row_oracle(self, F, seed):
-        # the same pairs from the same draws: both calls leave the
-        # generator in the same state
-        F = np.array(F)
-        engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
-        engine.F = F
-        rng = np.random.default_rng(seed)
-        a, b = engine.mating()
-        want_a, want_b = molpb_mating_oracle(F, rng)
-        assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
-        assert engine.rng.bit_generator.state == rng.bit_generator.state
+        assert_mating_matches_oracle(np.array(F), seed)
 
     def test_chain_path_matches_the_row_by_row_oracle(self, monkeypatch):
         # a population that is one chain takes the chain path, a near-chain
@@ -204,13 +207,7 @@ class TestMatingOracle:
         @settings(max_examples=200, deadline=None)
         @given(chains(), st.integers(0, 2**32 - 1))
         def check(F, seed):
-            engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
-            engine.F = F
-            rng = np.random.default_rng(seed)
-            a, b = engine.mating()
-            want_a, want_b = molpb_mating_oracle(F, rng)
-            assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
-            assert engine.rng.bit_generator.state == rng.bit_generator.state
+            assert_mating_matches_oracle(F, seed)
 
         check()
         assert taken[True] > 0 and taken[False] > 0

@@ -114,6 +114,17 @@ def verdicts(pairs: list[dict], metrics: dict[str, str]) -> list[dict]:
     return out
 
 
+def abba(i: int) -> tuple[str, str]:
+    """The order of the two sides in pair ``i``: base first in even pairs."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
+def heading(record: dict, base: str, workload: str, seed: int) -> str:
+    """The first line of one comparison's report."""
+    return (f"{workload} seed {seed}: {base} ({record['base_sha'][:12]}) -> "
+            f"checkout ({record['git_sha'][:12]}{', dirty' if record['dirty'] else ''})")
+
+
 def sign_test(wins: int, losses: int) -> float:
     """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
     n = wins + losses
@@ -211,12 +222,8 @@ def interleave(checkouts: dict[str, Path], workload: str, seeds: list[int], n: i
     try:
         for side in workers:  # no repetition runs while a worker still sets up
             answer(side)
-        runs = {}
-        for seed in seeds:
-            runs[seed] = []
-            for i in range(n):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                runs[seed].append({side: repetition(side, seed, i) for side in order})
+        runs = {seed: [{side: repetition(side, seed, i) for side in abba(i)} for i in range(n)]
+                for seed in seeds}
     finally:
         for proc in workers.values():
             proc.stdin.close()
@@ -232,19 +239,12 @@ def compare_blocks(record: dict, args, checkouts: dict[str, Path], workloads: li
     record["comparisons"] = []
     for workload in workloads:
         for seed in args.seeds:
-            pairs = []
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                pair = {}
-                for side in order:
-                    pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, 0)
-                pairs.append(pair)
+            pairs = [{side: run_bench(checkouts[side], workload, seed, args.seconds, 0)
+                      for side in abba(i)} for i in range(args.pairs)]
             found = verdicts(pairs, metrics)
             record["comparisons"].append(
                 {"workload": workload, "seed": seed, "pairs": pairs, "verdicts": found})
-            print(f"{workload} seed {seed}: {args.base} ({record['base_sha'][:12]}) -> "
-                  f"checkout ({record['git_sha'][:12]}{', dirty' if record['dirty'] else ''}), "
-                  f"{len(pairs)} pairs")
+            print(f"{heading(record, args.base, workload, seed)}, {len(pairs)} pairs")
             for side in ("base", "change"):
                 correct = all(p[side]["result"]["correct"] for p in pairs)
                 print(f"  {side:6s} every run correct: {correct}")
@@ -267,8 +267,7 @@ def compare_interleaved(record: dict, args, checkouts: dict[str, Path], workload
             found, stats = verdicts(pairs, per_rep), ratios(pairs, metrics)
             record["interleaved"].append({"workload": workload, "seed": seed, "pairs": pairs,
                                           "ratios": stats, "verdicts": found})
-            print(f"{workload} seed {seed}: {args.base} ({record['base_sha'][:12]}) -> "
-                  f"checkout ({record['git_sha'][:12]}{', dirty' if record['dirty'] else ''}), "
+            print(f"{heading(record, args.base, workload, seed)}, "
                   f"{len(pairs)} interleaved pairs, every repetition correct")
             for r, v in zip(stats, found):
                 q, b, c = r["ratio"], v["base"], v["change"]
