@@ -15,9 +15,9 @@ neighbours in each objective's order (Kukkonen & Deb 2006), and no span
 changes while a finite-crowding member goes, so only those neighbours
 are recomputed, each from scratch and only when it comes up as the next
 candidate to drop. The set-up comes from one stable sort of every column:
-it gives each row's neighbours in each objective, the spans, the edge
-rows and the starting crowding of the others, summed in objective order
-exactly as :func:`dominance._crowding` sums one front. With two
+it gives each row's neighbours in each objective, the spans and the
+starting crowding, :func:`dominance._front_crowding` of the whole set
+(+inf or NaN at every edge row). With two
 objectives and a capacity of three or more, the filter's own (f1, f2)
 sort already lists the kept rows as one chain, along which f2 falls, so
 truncation walks one prev/next list over that order instead, with the
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .dominance import _chain, _front_zero, non_dominated
+from .dominance import _chain, _front_crowding, _front_zero, non_dominated
 from .errors import InvalidConfigError, InvalidInputError
 
 
@@ -74,8 +74,9 @@ class ParetoArchive:
             order, _, _, best = _front_zero(F)
             chain = order[best]
             kept = _thin_chain(F, chain, self.capacity) if len(chain) > self.capacity else chain
-            self._F = F[np.sort(kept)]
-            return int(np.count_nonzero(chain >= len(F) - len(new)))
+            if kept is not None:
+                self._F = F[np.sort(kept)]
+                return int(np.count_nonzero(chain >= len(F) - len(new)))
         keep = non_dominated(F)
         self._F = F[keep]
         self.truncate()
@@ -98,20 +99,12 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
     nxt[k[:, None], order[:, :-1]] = order[:, 1:]
     prev[k[:, None], order[:, 1:]] = order[:, :-1]
     spans = F[order[:, -1], k] - F[order[:, 0], k]
-    cols = F.T
-    edge = np.zeros(n, dtype=bool)
-    edge[order[:, [0, -1]]] = True
-    inner = np.flatnonzero(~edge)
-    crowd = np.zeros(len(inner))
-    for col, span, p, q in zip(cols, spans, prev, nxt):
-        if span > 0:
-            crowd += (col[q[inner]] - col[p[inner]]) / span
-    cols, prev, nxt = cols.tolist(), prev.tolist(), nxt.tolist()
+    cols, prev, nxt = F.T.tolist(), prev.tolist(), nxt.tolist()
     links = list(zip(prev, nxt))
     terms = [(col, span, p, q) for col, span, p, q in zip(cols, spans.tolist(), prev, nxt) if span > 0]
     # (crowding, row) of the finite-crowding rows left; a drop only raises its
     # neighbours' crowding, so a stale entry is a lower bound, renewed on top
-    heap = [(c, i) for c, i in zip(crowd.tolist(), inner.tolist()) if c < math.inf]
+    heap = [(c, i) for i, c in enumerate(_front_crowding(F, order).tolist()) if c < math.inf]
     heapq.heapify(heap)
     heappop, heapreplace = heapq.heappop, heapq.heapreplace  # local names for the drop loop
     alive, stale = [True] * n, [False] * n
@@ -120,7 +113,10 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
             stale[i], c = False, 0.0
             for col, span, p, q in terms:  # in objective order, as _crowding
                 c += (col[q[i]] - col[p[i]]) / span
-            heapreplace(heap, (c, i))
+            if c < math.inf:
+                heapreplace(heap, (c, i))
+            else:  # NaN: a gap overflowed, and it only widens
+                heappop(heap)
         if not heap:
             alive[alive.index(True)] = False
             break
@@ -132,16 +128,19 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
     return [i for i in range(n) if alive[i]]
 
 
-def _thin_chain(F: np.ndarray, chain: np.ndarray, capacity: int) -> np.ndarray:
+def _thin_chain(F: np.ndarray, chain: np.ndarray, capacity: int) -> np.ndarray | None:
     """:func:`_thin` of the rows ``chain`` of a two-column ``F``, listed by
     rising f1 and so by falling f2, for ``capacity >= 3``: each row's
     neighbours in both objectives are its neighbours along the chain, so
     one prev/next list serves both. Heap entries and sums are those of
-    :func:`_thin`, so ties and rounding match. Returns the kept rows."""
+    :func:`_thin`, so ties and rounding match. Returns the kept rows, or None
+    when a span overflows, as a gap can then give NaN crowding, which _thin skips."""
     n = len(chain)
     f1, f2 = F[chain].T
-    crowd = _chain(f1, f2)
     span1, span2 = float(f1[-1] - f1[0]), float(f2[0] - f2[-1])
+    if not math.isfinite(span1 + span2):
+        return None
+    crowd = _chain(f1, f2)
     f1, f2 = f1.tolist(), f2.tolist()
     prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))
     # (crowding, row, position) of the inner positions; rows are distinct,

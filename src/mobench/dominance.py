@@ -32,8 +32,9 @@ crowding is one shifted difference per objective (:func:`_chain`).
 :func:`select` is NSGA-II's environmental selection of ``k`` rows,
 the first ``k`` indices of :func:`crowded_order` (whole fronts while they
 fit, then the overflowing front by descending crowding), with the front-0
-mask. With two objectives, when front 0 holds at least ``k`` rows, which
-is the common case, it crowds front 0 alone and never sorts the rest.
+mask. When front 0 holds at least ``k`` rows, the common case for any
+number of objectives, it crowds front 0 alone (one chain, or
+:func:`_front_crowding` from a stable sort per objective) and ranks no other row.
 :func:`crowded_first` finds the first row in crowded order; with two
 objectives it reads front 0's extremes alone.
 """
@@ -221,6 +222,19 @@ def _crowding(F: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _front_crowding(F: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """:func:`_crowding` of ``F`` as one front, from each objective's rows in
+    (value, index) order ``order[k]``: an objective's edge rows get +inf
+    before its interior gaps are added, so overflowing spans match too."""
+    dist = np.zeros(len(F))
+    for col, o in zip(F.T, order):
+        col = col[o]
+        dist[o[0]] = dist[o[-1]] = np.inf
+        if (span := col[-1] - col[0]) > 0:
+            dist[o[1:-1]] += (col[2:] - col[:-2]) / span
+    return dist
+
+
 def _chain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """:func:`_crowding` of one front of distinct rows listed by rising f1,
     along which f2 strictly falls: +inf at both ends, and inside one
@@ -256,42 +270,39 @@ def rank_and_crowd(points) -> tuple[np.ndarray, np.ndarray]:
     if F.shape[1] != 2:
         rank = _peel(F)
         return rank, _crowding(F, rank)
-    return _rank_and_crowd_sorted(F, *_front_zero(F))
-
-
-def _rank_and_crowd_sorted(F, order, f1, f2, best) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rank_and_crowd` of a two-column ``F`` from its
-    :func:`_front_zero` sort."""
-    rank, same = _sweep(order, f1, f2, best)
-    return rank, _crowding(F, rank) if same.any() else _chains(F, rank, order)
+    rank, same = _sweep(*(sort := _front_zero(F)))
+    return rank, _crowding(F, rank) if same.any() else _chains(F, rank, sort[0])
 
 
 def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     """NSGA-II's environmental selection of ``k`` rows, the first ``k``
     indices of :func:`crowded_order` of the rows' ranks and crowding, and
-    the mask of front 0 (``rank == 0``). With two objectives and at least
-    ``k`` rows in front 0, only front 0 is crowded: a repeat of a front-0
-    row is in front 0 too, so front 0 is one chain unless it holds one."""
+    the mask of front 0 (``rank == 0``). When front 0 holds at least ``k``
+    rows, only front 0 is crowded; a repeat of a front-0 row is in front 0
+    too. With two objectives front 0 is one chain unless it holds a repeat."""
     F = _sortable(points)
     if F.shape[1] != 2:
-        rank, crowd = rank_and_crowd(F)
+        le = _no_worse(R := _codes(F))
+        top = ~(le > le.T).any(axis=0)
+        rows = top.nonzero()[0]
     else:
-        order, f1, f2, best = sort = _front_zero(F)
+        order, f1, f2, best = _front_zero(F)
         same, head = _runs(f1, f2)
         # a repeat takes the front of the first row of its run
         zero = best[head][head.cumsum() - 1] if same.any() else best
         rows = order[zero]
-        if len(rows) >= k:
-            if len(rows) == np.count_nonzero(best):  # no repeat in front 0
-                crowd = _chain(f1[zero], f2[zero])
-            else:
-                rows.sort()  # index order, in which _crowding breaks ties
-                crowd = _crowding(F[rows], np.zeros(len(rows), dtype=int))
-            top = np.zeros(len(F), dtype=bool)
-            top[rows] = True
-            return rows[np.lexsort((rows, -crowd))[:k]], top
-        rank, crowd = _rank_and_crowd_sorted(F, *sort)
-    return crowded_order(rank, crowd)[:k], rank == 0
+        top = np.zeros(len(F), dtype=bool)
+        top[rows] = True
+    if len(rows) < k:
+        return crowded_order(*rank_and_crowd(F))[:k], top
+    if F.shape[1] != 2:
+        crowd = _front_crowding(F[rows], R[:, rows].argsort(axis=1, kind="stable"))
+    elif len(rows) == np.count_nonzero(best):  # no repeat in front 0
+        crowd = _chain(f1[zero], f2[zero])
+    else:
+        rows.sort()  # index order, in which equal values are ordered
+        crowd = _front_crowding(F[rows], F[rows].argsort(axis=0, kind="stable").T)
+    return rows[np.lexsort((rows, -crowd))[:k]], top
 
 
 def crowded_first(points) -> int:

@@ -213,12 +213,16 @@ class TestInvariants:
 @st.composite
 def truncation_cases(draw):
     """An objective matrix of 1..4 columns on a coarse grid (ties and
-    repeated values), sometimes with a zero-span column, and a capacity
-    that is often 1 or 2, where every crowding distance is infinite."""
+    repeated values), sometimes with a zero-span column or with a column
+    holding -1e308 and 1e308, whose span overflows, and a capacity that is
+    often 1 or 2, where every crowding distance is infinite."""
     m = draw(st.integers(1, 4))
     F = np.array(draw(objective_rows(m=m)))
     if draw(st.booleans()):
         F[:, draw(st.integers(0, m - 1))] = 1.0
+    if len(F) > 1 and draw(st.booleans()):
+        rows = draw(st.permutations(range(len(F))))[:2]
+        F[rows, draw(st.integers(0, m - 1))] = -1e308, 1e308
     capacity = draw(st.sampled_from([1, 2]) | st.integers(1, len(F)))
     return F, capacity
 
@@ -230,6 +234,9 @@ class TestIncrementalTruncation:
     # update must add in objective order to round like the oracle
     @example((np.array([[3, 3, 1], [1, 2, 1], [1, 3, 2], [0, 1, 3], [3, 2, 0], [1, 3, 3]], float), 4))
     @example((np.array([[2, 3, 2], [0, 3, 3], [1, 0, 0], [2, 0, 1], [3, 0, 2], [0, 1, 0], [1, 0, 3]], float), 5))
+    # once row 2 goes, row 3's gap spans the whole overflowing column: NaN
+    # crowding, which is never the smallest finite one
+    @example((np.array([[-1e308], [1e308], [0.0], [0.0]]), 1))
     def test_keeps_exactly_the_oracle_rows(self, case):
         F, capacity = case
         arc = ParetoArchive(capacity)
@@ -276,6 +283,8 @@ def two_column_offers(draw):
 class TestTwoColumnInsert:
     @settings(max_examples=200, deadline=None)
     @given(two_column_offers())
+    # a chain whose spans and middle gap overflow: the gap's crowding is NaN
+    @example((3, [np.array([[-1e308, 1e308], [-9e307, 9e307], [0.0, -0.0], [9e307, -9e307]])]))
     def test_insert_sequence_matches_the_oracle_archive(self, case):
         # the chain filter and chain truncation leave the members and
         # counts of the brute-force keep rule and from-scratch truncation

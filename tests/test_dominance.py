@@ -350,12 +350,27 @@ def front_heavy_rows(draw):
     return F.tolist()
 
 
+@st.composite
+def simplex_rows(draw):
+    """Matrices of 3 or 4 columns and 1..60 rows, most of them points of
+    the grid simplex whose cells sum to 6, which no other such point
+    dominates, so front 0 is large and often holds repeats; the other rows
+    are such points shifted back by 1. Some zeros are ``-0.0``."""
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = rng.multinomial(6, np.full(m, 1 / m), n).astype(float)
+    F += rng.random((n, 1)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    F[F == 0] *= rng.choice([-1.0, 1.0], np.count_nonzero(F == 0))
+    return F.tolist()
+
+
 def select_branch(points, k) -> str:
     """Which case of ``dominance.select`` the rows fall in, from the oracle."""
-    if len(points[0]) != 2:
-        return "m != 2: whole sort"
     rank, _ = rank_and_crowd_oracle(points)
     front = [tuple(p) for p, r in zip(points, rank) if r == 0]
+    if len(points[0]) != 2:
+        return "m != 2: front 0 fills" if len(front) >= k else "m != 2: front 0 below k"
     if len(front) < k:
         return "front 0 below k: whole sort"
     if len(set(front)) < len(front):
@@ -366,7 +381,9 @@ def select_branch(points, k) -> str:
 class TestSelect:
     @settings(max_examples=200, deadline=None)
     @given(
-        st.integers(2, 4).flatmap(lambda m: objective_rows(m=m, extremes=False)) | front_heavy_rows(),
+        st.integers(2, 4).flatmap(lambda m: objective_rows(m=m, extremes=False))
+        | front_heavy_rows()
+        | simplex_rows(),
         st.data(),
     )
     def test_matches_the_crowded_oracle(self, points, data):
@@ -391,7 +408,8 @@ class TestSelect:
             ([(0, 3), (1, 2), (2, 1), (3, 0), (3, 3)], 3, "front 0 chain"),
             ([(0, 3), (1, 2), (1, 2), (3, 0), (3, 3)], 4, "front 0 with repeats"),
             ([(0, 3), (1, 2), (3, 0), (3, 3), (4, 4)], 4, "front 0 below k: whole sort"),
-            ([(0, 3, 1), (1, 2, 1), (3, 0, 1), (3, 3, 1)], 2, "m != 2: whole sort"),
+            ([(0, 3, 1), (1, 2, 1), (1, 2, 1), (3, 0, 1), (3, 3, 1)], 3, "m != 2: front 0 fills"),
+            ([(0, 3, 1), (1, 2, 1), (3, 0, 1), (3, 3, 1)], 4, "m != 2: front 0 below k"),
         ],
     )
     def test_each_case_matches_the_oracle(self, points, k, branch):
@@ -412,6 +430,28 @@ def many_objective_rows(draw):
         [-math.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 2.0, 1e300, math.inf]
     )
     return draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@st.composite
+def single_fronts(draw):
+    """Rows to crowd as one front: many-objective rows with every kind of
+    extreme, or two-column rows with repeats; sometimes one column holds
+    -1e308 and 1e308, whose span overflows to inf."""
+    F = np.array(draw(many_objective_rows() | two_objective_rows()), dtype=float)
+    if len(F) > 1 and draw(st.booleans()):
+        lo, hi = draw(st.permutations(range(len(F))))[:2]
+        F[[lo, hi], draw(st.integers(0, F.shape[1] - 1))] = -1e308, 1e308
+    return F
+
+
+class TestFrontCrowding:
+    @settings(max_examples=300, deadline=None)
+    @given(single_fronts())
+    def test_bytes_match_the_all_fronts_crowding(self, F):
+        # the orders of the archive's set-up and of select's m != 2 case
+        want = dominance._crowding(F, np.zeros(len(F), dtype=int)).tobytes()
+        for order in (F.argsort(axis=0, kind="stable").T, dominance._codes(F).argsort(axis=1, kind="stable")):
+            assert dominance._front_crowding(F, order).tobytes() == want
 
 
 class TestManyObjectiveKernel:

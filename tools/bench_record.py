@@ -31,8 +31,10 @@ It starts one worker process per side, each with its side's ``bench/``
 and ``src/`` on ``sys.path``, and each worker runs its side's own
 ``run_bench.single_rep`` or ``campaign_rep`` (so its own settings, gate
 and timing) for the seeds that ``run_bench.py --seed S`` gives its
-repetitions. The driver asks for one repetition at a time, in ABBA order
-(base first in even pairs). For ``wall_s``, ``evals_per_s``,
+repetitions. Once both workers are set up, each runs one untimed
+warm-up repetition (its gate still checked), one worker after the other.
+Then the driver asks for one repetition at a time, in ABBA order (base
+first in even pairs). For ``wall_s``, ``evals_per_s``,
 ``gen_ms_p50`` and ``gen_ms_p95`` of each repetition it prints the
 per-pair ratio checkout / base (median and quartiles), the number of
 pairs that the checkout won and lost, and the exact two-sided sign-test
@@ -222,6 +224,8 @@ def interleave(checkouts: dict[str, Path], workload: str, seeds: list[int], n: i
     try:
         for side in workers:  # no repetition runs while a worker still sets up
             answer(side)
+        for side in workers:  # one untimed warm-up repetition each, its gate checked
+            repetition(side, seeds[0], 0)
         runs = {seed: [{side: repetition(side, seed, i) for side in abba(i)} for i in range(n)]
                 for seed in seeds}
     finally:
