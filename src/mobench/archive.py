@@ -14,10 +14,12 @@ approximation: a drop changes the crowding of at most 2m members, its
 neighbours in each objective's order (Kukkonen & Deb 2006), and no span
 changes while a finite-crowding member goes, so only those neighbours
 are recomputed, each from scratch and only when it comes up as the next
-candidate to drop. The set-up comes from one stable sort of every column:
-it gives each row's neighbours in each objective, the spans and the
-starting crowding, :func:`dominance._front_crowding` of the whole set
-(+inf or NaN at every edge row). With two
+candidate to drop. The set-up comes from one stable sort of every
+column's rank codes, those the filter compared or, when a restart
+needs them, fresh ones: it gives each row's neighbours in each
+objective, the spans and the starting crowding,
+:func:`dominance._front_crowding` of the whole set (+inf or NaN at
+every edge row). With two
 objectives and a capacity of three or more, the filter's own (f1, f2)
 sort already lists the kept rows as one chain, along which f2 falls, so
 truncation walks one prev/next list over that order instead, with the
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from .dominance import _chain, _front_crowding, _front_zero, non_dominated
+from .dominance import _chain, _codes, _front_crowding, _front_zero, _non_dominated
 from .errors import InvalidConfigError, InvalidInputError
 
 
@@ -77,23 +79,27 @@ class ParetoArchive:
             if kept is not None:
                 self._F = F[np.sort(kept)]
                 return int(np.count_nonzero(chain >= len(F) - len(new)))
-        keep = non_dominated(F)
+        keep, R = _non_dominated(F)
         self._F = F[keep]
+        if len(self) > self.capacity:  # the filter's codes order the kept rows too
+            self._F = self._F[_thin(self._F, self.capacity, R[:, keep])]
         self.truncate()
         return int(keep[len(F) - len(new):].sum())
 
     def truncate(self) -> None:
         """Drop lowest-crowding members one at a time until within capacity."""
         while len(self) > self.capacity:
-            self._F = self._F[_thin(self._F, self.capacity)]
+            self._F = self._F[_thin(self._F, self.capacity, _codes(self._F))]
 
 
-def _thin(F: np.ndarray, capacity: int) -> list[int]:
+def _thin(F: np.ndarray, capacity: int, R: np.ndarray) -> list[int]:
     """Rows of ``F`` kept after dropping the smallest finite crowding (lowest
-    row on ties) one row at a time down to ``capacity``. With none finite it
-    drops the first row and stops: the spans change, so the caller restarts."""
+    row on ties) one row at a time down to ``capacity``, from codes ``R``
+    that order each objective's values as :func:`dominance._codes` does.
+    With none finite it drops the first row and stops: the spans change,
+    so the caller restarts."""
     n, m = F.shape
-    order = np.argsort(F, axis=0, kind="stable").T  # order[k]: rows by objective k
+    order = R.argsort(axis=1, kind="stable")  # order[k]: rows by objective k, ties by row
     prev, nxt = np.full((m, n), -1), np.full((m, n), -1)  # each row's neighbours per objective
     k = np.arange(m)
     nxt[k[:, None], order[:, :-1]] = order[:, 1:]
@@ -104,7 +110,9 @@ def _thin(F: np.ndarray, capacity: int) -> list[int]:
     terms = [(col, span, p, q) for col, span, p, q in zip(cols, spans.tolist(), prev, nxt) if span > 0]
     # (crowding, row) of the finite-crowding rows left; a drop only raises its
     # neighbours' crowding, so a stale entry is a lower bound, renewed on top
-    heap = [(c, i) for i, c in enumerate(_front_crowding(F, order).tolist()) if c < math.inf]
+    crowd = _front_crowding(F, order)
+    finite = np.flatnonzero(crowd < np.inf)
+    heap = list(zip(crowd[finite].tolist(), finite.tolist()))
     heapq.heapify(heap)
     heappop, heapreplace = heapq.heappop, heapq.heapreplace  # local names for the drop loop
     alive, stale = [True] * n, [False] * n

@@ -3,19 +3,20 @@
 Everything here minimizes. :func:`non_dominated_sort` and
 :func:`non_dominated` refuse a NaN objective value with
 :class:`InvalidInputError`: it compares neither way, so it has no front.
-:func:`_no_worse` is the one pairwise kernel of the package: ``le[i, j]``
-iff row ``i`` is no worse than row ``j`` in every objective, one
-``(n, n)`` pass per objective and no ``(n, n, m)`` temporary. It compares
-integer rank codes rather than floats: each value is replaced by the
-number of smaller values in its column, so codes order as the values do,
-equal values (``-0.0`` and ``0.0`` included) share a code, and the codes
-fit in int16 up to 32768 rows. Strict dominance needs no second pass:
-where row ``i`` is no worse than row ``j``, it is strictly better
-somewhere exactly when row ``j`` is not no worse than row ``i``, so it is
-``le > le.T``. :func:`non_dominated` is the one rule for keeping a
-non-dominated set (archive, reference fronts): a row goes when another
-row dominates it or an earlier row equals it; equal rows are found by a
-lexsort of the codes, not from the matrix. :func:`non_dominated_sort`
+:func:`_dominance` is the one pairwise kernel of the package: ``D[i, j]``
+iff row ``i`` dominates row ``j``, one ``(n, n)`` pass per objective and
+no ``(n, n, m)`` temporary. It compares integer rank codes
+(:func:`_codes`, one argsort of all columns) rather than floats: each
+value is replaced by the number of smaller values in its column, so
+codes order as the values do, equal values (``-0.0`` and ``0.0``
+included) share a code, and the codes fit in int16 up to 32768 rows.
+Strict dominance needs no transposed pass: where row ``i`` is no worse
+than row ``j``, it is strictly better somewhere exactly when its code
+sum is smaller, so the passes start from the sums' order. The archive
+orders its truncation by the same codes. :func:`non_dominated` is the
+one rule for keeping a non-dominated set (archive, reference fronts): a
+row goes when another row dominates it or an earlier row equals it;
+equal rows are found by a lexsort of the codes, not from the matrix. :func:`non_dominated_sort`
 returns a rank array: ``rank[i]`` is the front number of row ``i``, so
 front 0 (the non-dominated set) is ``rank == 0``. With two objectives
 both functions sort the rows once by (f1, f2); front 0 is the rows whose
@@ -23,10 +24,10 @@ f2 is below the prefix minimum of the f2 values before them, so
 :func:`non_dominated` runs no Python loop. The sort's later fronts come
 from an O(n log n) bisection sweep (Jensen 2003) over the rows outside
 front 0 only. With one or three and more objectives both work on the
-O(m * n^2) matrix ``le``, and the sort uses the domination-count scheme on
-``le > le.T``. Crowding distance is computed for all fronts at once, in
-one pass per objective; with two objectives and no repeated row it reuses
-the sort's order for both objectives instead. A front of distinct rows
+O(m * n^2) matrix ``D``, and the sort uses the domination-count scheme
+on it. Crowding distance is computed for all fronts at once, in one pass
+per objective; with two objectives and no repeated row it reuses the
+sort's order for both objectives instead. A front of distinct rows
 listed by rising f1 is a chain, along which f2 strictly falls, so its
 crowding is one shifted difference per objective (:func:`_chain`).
 :func:`select` is NSGA-II's environmental selection of ``k`` rows,
@@ -50,23 +51,33 @@ from .errors import InvalidInputError
 
 def _codes(F: np.ndarray) -> np.ndarray:
     """Objective-major rank codes of the rows of ``F``: ``R[k, i]`` is the
-    number of rows whose objective ``k`` is smaller than row ``i``'s."""
+    number of rows whose objective ``k`` is smaller than row ``i``'s, that
+    is the sorted position where its run of equal values starts."""
     cols = np.ascontiguousarray(F.T)
-    R = np.empty(cols.shape, dtype=np.int16 if len(F) <= 32768 else np.int64)
-    for r, col, ordered in zip(R, cols, np.sort(cols, axis=1)):
-        r[:] = np.searchsorted(ordered, col)
+    m, n = cols.shape
+    dtype = np.int16 if n <= 32768 else np.int64
+    order = cols.argsort(axis=1)
+    order += n * np.arange(m)[:, None]  # flat positions in cols and R
+    ordered = cols.ravel()[order]
+    starts = np.zeros((m, n), dtype=dtype)
+    np.multiply(ordered[:, 1:] != ordered[:, :-1], np.arange(1, n, dtype=dtype), out=starts[:, 1:])
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    R = np.empty_like(starts)
+    R.ravel()[order] = starts
     return R
 
 
-def _no_worse(R: np.ndarray) -> np.ndarray:
-    """Pairwise comparison of one set's rows from their rank codes (see
-    :func:`_codes`): ``le[i, j]`` iff row ``i`` is no worse than row ``j``
-    in every objective."""
-    n = R.shape[1]
-    le = np.ones((n, n), dtype=bool)
+def _dominance(R: np.ndarray) -> np.ndarray:
+    """Pairwise dominance of one set's rows from their rank codes (see
+    :func:`_codes`): ``D[i, j]`` iff row ``i`` dominates row ``j``. Where row
+    ``i`` is no worse than row ``j`` everywhere, it is strictly better
+    somewhere exactly when its code sum is smaller, and equal rows have
+    equal sums, so one pass per objective refines the sums' order."""
+    s = R.sum(axis=0, dtype=np.int16 if R.size <= 32768 else np.int64)
+    D = s[:, None] < s
     for r in R:
-        le &= r[:, None] <= r
-    return le
+        D &= r[:, None] <= r
+    return D
 
 
 def _objectives(points) -> np.ndarray:
@@ -143,14 +154,19 @@ def non_dominated(points) -> np.ndarray:
         keep = np.empty(len(F), dtype=bool)
         keep[order] = best
         return keep
+    return _non_dominated(F)[0]
+
+
+def _non_dominated(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`non_dominated` of a matrix ``F`` from its rank codes (the
+    two-column case sorts instead), and the codes ``R``."""
     R = _codes(F)
-    le = _no_worse(R)
     # a stable lexsort puts equal rows next to each other, earliest first
     order = np.lexsort(R)
     ordered = R[:, order]
     repeat = np.zeros(len(F), dtype=bool)
     repeat[order[1:]] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
-    return ~(le > le.T).any(axis=0) & ~repeat
+    return ~_dominance(R).any(axis=0) & ~repeat, R
 
 
 def _sortable(points) -> np.ndarray:
@@ -169,10 +185,9 @@ def non_dominated_sort(points) -> np.ndarray:
 
 
 def _peel(F: np.ndarray) -> np.ndarray:
-    """Front numbers from the domination counts of the matrix ``le``."""
+    """Front numbers from the domination counts of :func:`_dominance`."""
     R = _codes(F)
-    le = _no_worse(R)
-    D = (le > le.T).view(np.uint8)  # D[i, j]: row i dominates row j
+    D = _dominance(R).view(np.uint8)
     counts = D.sum(axis=0, dtype=R.dtype)  # a count, like a code, is below n
     rank = np.empty(len(F), dtype=int)
     current = np.flatnonzero(counts == 0)
@@ -282,8 +297,7 @@ def select(points, k: int) -> tuple[np.ndarray, np.ndarray]:
     too. With two objectives front 0 is one chain unless it holds a repeat."""
     F = _sortable(points)
     if F.shape[1] != 2:
-        le = _no_worse(R := _codes(F))
-        top = ~(le > le.T).any(axis=0)
+        top = ~_dominance(R := _codes(F)).any(axis=0)
         rows = top.nonzero()[0]
     else:
         order, f1, f2, best = _front_zero(F)

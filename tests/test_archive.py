@@ -296,3 +296,53 @@ class TestTwoColumnInsert:
                 members, want = archive_insert_oracle(members, F, capacity)
                 assert accepted == want
             assert arc.objectives().tobytes() == members.tobytes()
+
+
+@st.composite
+def many_column_offers(draw):
+    """A capacity (often 1 or 2) and 1..8 offers of 0..30 rows of 3 or 4
+    columns, on a coarse grid or near the grid simplex whose cells sum to
+    6 (where front 0 is large and equal crowding makes the tie rule
+    decide), with repeats and signed zeros; sometimes one column is 1.0
+    in every offer (a zero span), or one offer holds -1e308 and 1e308 in
+    one column, whose span overflows."""
+    capacity = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    m = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = draw(st.none() | st.integers(0, m - 1))
+    offers = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = int(rng.integers(0, 31))
+        if rng.integers(2):
+            F = rng.integers(-1, 4, (n, m)).astype(float)
+        else:
+            F = (rng.multinomial(6, np.full(m, 1 / m), n) + (rng.random((n, 1)) < 0.2)).astype(float)
+        if n and rng.integers(2):  # rows drawn with repeats
+            F = F[rng.integers(0, n, n)]
+        if flat is not None:
+            F[:, flat] = 1.0
+        F[F == 0] *= rng.choice([-1.0, 1.0], np.count_nonzero(F == 0))
+        offers.append(F)
+    if draw(st.booleans()):
+        F = offers[draw(st.integers(0, len(offers) - 1))]
+        if len(F) > 1:
+            F[rng.permutation(len(F))[:2], rng.integers(m)] = -1e308, 1e308
+    return capacity, offers
+
+
+class TestManyColumnInsert:
+    @settings(max_examples=200, deadline=None)
+    @given(many_column_offers())
+    def test_insert_sequence_matches_the_oracle_archive(self, case):
+        # the code filter and the truncation ordered by its codes leave the
+        # members and counts of the brute-force keep rule and from-scratch
+        # truncation
+        capacity, offers = case
+        m = offers[0].shape[1]
+        arc, members = ParetoArchive(capacity), np.empty((0, m))
+        for F in offers:
+            accepted = arc.insert(F)
+            if len(F):
+                members, want = archive_insert_oracle(members, F, capacity)
+                assert accepted == want
+            assert arc.objectives().tobytes() == members.tobytes()

@@ -485,3 +485,52 @@ class TestKernelProperties:
         want_rank, want_crowd = rank_and_crowd_oracle(points)
         assert np.array_equal(rank, want_rank)
         assert crowd.tobytes() == want_crowd.tobytes()
+
+
+def count_smaller(F) -> list[list[int]]:
+    """Per objective, how many rows have a smaller value than each row."""
+    return [[sum(v < x for v in col) for x in col] for col in np.asarray(F, dtype=float).T.tolist()]
+
+
+class TestRankCodeKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(many_objective_rows() | signed_zero_rows())
+    def test_codes_count_the_smaller_values(self, points):
+        R = dominance._codes(np.array(points, dtype=float))
+        assert R.dtype == np.int16
+        assert R.tolist() == count_smaller(points)
+
+    @pytest.mark.parametrize("n, dtype", [(32768, np.int16), (32769, np.int64)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_codes_take_int64_past_32768_rows(self, n, dtype, m):
+        # mostly distinct values, so the largest code is n - 1, with every
+        # kind of extreme and tie mixed in; a searchsorted into the sorted
+        # column counts the smaller values without a pairwise matrix
+        rng = np.random.default_rng(n)
+        F = rng.random((n, m))
+        cells = [-math.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1e300, math.inf]
+        mixed = rng.random((n, m)) < 0.1
+        F[mixed] = rng.choice(cells, np.count_nonzero(mixed))
+        R = dominance._codes(F)
+        assert R.dtype == dtype
+        for r, col in zip(R, F.T):
+            assert np.array_equal(r, np.searchsorted(np.sort(col), col))
+
+    @settings(max_examples=300, deadline=None)
+    @given(many_objective_rows() | signed_zero_rows())
+    def test_dominance_matches_the_scalar_oracle(self, points):
+        D = dominance._dominance(dominance._codes(np.array(points, dtype=float)))
+        assert D.tolist() == [[dominates_scalar(a, b) for b in points] for a in points]
+
+    def test_dominance_past_the_int16_sum_bound(self):
+        # 40 columns x 820 rows (m * n = 32,800) sum the codes in int64; rows
+        # on rising levels with sparse bumps, some repeated, so dominance,
+        # incomparable pairs and equal rows all occur
+        rng = np.random.default_rng(28)
+        level = rng.integers(0, 30, (820, 1)).astype(float)
+        F = level + (rng.random((820, 40)) < 0.05) * rng.integers(1, 4, (820, 40))
+        F[rng.integers(0, 820, 60)] = F[rng.integers(0, 820, 60)]
+        D = dominance._dominance(dominance._codes(F))
+        want = (F[:, None] <= F).all(axis=2) & (F[:, None] < F).any(axis=2)
+        assert np.array_equal(D, want)
+        assert want.any() and (~want & ~want.T).any() and (F[:, None] == F).all(axis=2).sum() > 820
