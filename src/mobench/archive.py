@@ -8,22 +8,24 @@ or an earlier row matches it exactly) is dropped. An empty offer changes
 nothing. Without truncation, one batch leaves the same members in the
 same order as offering its rows one at a time. Overflow is then
 resolved by repeatedly dropping the member with the smallest finite
-crowding distance; extremes (infinite crowding) go only when no
-finite-crowding member remains. This is incremental and exact, not an
-approximation: a drop changes the crowding of at most 2m members, its
-neighbours in each objective's order (Kukkonen & Deb 2006), and no span
-changes while a finite-crowding member goes, so only those neighbours
-are recomputed, each from scratch and only when it comes up as the next
-candidate to drop. The set-up comes from one stable sort of every
-column's rank codes, those the filter compared or, when a restart
-needs them, fresh ones: it gives each row's neighbours in each
-objective, the spans and the starting crowding,
+crowding distance. When none is finite, the first member goes and
+truncation starts over on the rest, whose spans have changed. This is
+incremental and exact, not an approximation: a drop changes the
+crowding of at most 2m members, its neighbours in each objective's
+order (Kukkonen & Deb 2006), and no span changes while a finite-crowding
+member goes, so only those neighbours are recomputed, each from scratch
+and only when it comes up as the next candidate to drop. The set-up
+comes from one stable sort of every column's rank codes, those the
+filter compared or, on a restart, fresh ones: it gives each row's
+neighbours in each objective, the spans and the starting crowding,
 :func:`dominance._front_crowding` of the whole set (+inf or NaN at
-every edge row). With two
-objectives and a capacity of three or more, the filter's own (f1, f2)
-sort already lists the kept rows as one chain, along which f2 falls, so
-truncation walks one prev/next list over that order instead, with the
-same heap entries and sums, and keeps the survivors in stacking order.
+every edge row). An insert takes one path by its column count and makes
+at most one truncation call. With two objectives the filter's own
+(f1, f2) sort already lists the kept rows as one chain, along which f2
+falls, so truncation walks one prev/next list over that order instead,
+with the same heap entries and sums, and keeps the survivors in stacking
+order. At capacity 1, where an end must go, or when a span overflows,
+the chain's rows go to the general truncation in stacking order.
 """
 
 from __future__ import annotations
@@ -71,33 +73,26 @@ class ParetoArchive:
         if not np.isfinite(new).all():
             raise InvalidInputError("archive rows must be finite")
         F = np.concatenate([self._F, new]) if len(self) else new
-        if F.shape[1] == 2 and self.capacity > 2:
-            # the filter's sort lists the kept rows as one chain
+        if F.shape[1] == 2:  # the filter's sort lists the kept rows as one chain
             order, _, _, best = _front_zero(F)
             chain = order[best]
             kept = _thin_chain(F, chain, self.capacity) if len(chain) > self.capacity else chain
-            if kept is not None:
-                self._F = F[np.sort(kept)]
-                return int(np.count_nonzero(chain >= len(F) - len(new)))
+            self._F = F[np.sort(kept)]
+            return int(np.count_nonzero(chain >= len(F) - len(new)))
         keep, R = _non_dominated(F)
         self._F = F[keep]
         if len(self) > self.capacity:  # the filter's codes order the kept rows too
             self._F = self._F[_thin(self._F, self.capacity, R[:, keep])]
-        self.truncate()
         return int(keep[len(F) - len(new):].sum())
-
-    def truncate(self) -> None:
-        """Drop lowest-crowding members one at a time until within capacity."""
-        while len(self) > self.capacity:
-            self._F = self._F[_thin(self._F, self.capacity, _codes(self._F))]
 
 
 def _thin(F: np.ndarray, capacity: int, R: np.ndarray) -> list[int]:
     """Rows of ``F`` kept after dropping the smallest finite crowding (lowest
     row on ties) one row at a time down to ``capacity``, from codes ``R``
     that order each objective's values as :func:`dominance._codes` does.
-    With none finite it drops the first row and stops: the spans change,
-    so the caller restarts."""
+    With none finite it drops the first row and starts over on the rest
+    with fresh codes, as the spans change; only edge and NaN rows are then
+    left, a few per objective, so restarts nest only that deep."""
     n, m = F.shape
     order = R.argsort(axis=1, kind="stable")  # order[k]: rows by objective k, ties by row
     prev, nxt = np.full((m, n), -1), np.full((m, n), -1)  # each row's neighbours per objective
@@ -127,7 +122,8 @@ def _thin(F: np.ndarray, capacity: int, R: np.ndarray) -> list[int]:
                 heappop(heap)
         if not heap:
             alive[alive.index(True)] = False
-            break
+            rest = [i for i in range(n) if alive[i]]
+            return [rest[i] for i in _thin(F[rest], capacity, _codes(F[rest]))]
         drop = heappop(heap)[1]
         alive[drop] = False
         for p, q in links:  # a finite-crowding row is interior in every objective
@@ -136,18 +132,20 @@ def _thin(F: np.ndarray, capacity: int, R: np.ndarray) -> list[int]:
     return [i for i in range(n) if alive[i]]
 
 
-def _thin_chain(F: np.ndarray, chain: np.ndarray, capacity: int) -> np.ndarray | None:
+def _thin_chain(F: np.ndarray, chain: np.ndarray, capacity: int) -> np.ndarray:
     """:func:`_thin` of the rows ``chain`` of a two-column ``F``, listed by
-    rising f1 and so by falling f2, for ``capacity >= 3``: each row's
-    neighbours in both objectives are its neighbours along the chain, so
-    one prev/next list serves both. Heap entries and sums are those of
-    :func:`_thin`, so ties and rounding match. Returns the kept rows, or None
-    when a span overflows, as a gap can then give NaN crowding, which _thin skips."""
+    rising f1 and so by falling f2: each row's neighbours in both
+    objectives are its neighbours along the chain, so one prev/next list
+    serves both. Heap entries and sums are those of :func:`_thin`, so ties
+    and rounding match. At capacity 1 an end must go, and when a span
+    overflows a gap can give NaN crowding, which _thin skips; both go to
+    :func:`_thin` of the rows in stacking order, with fresh codes."""
     n = len(chain)
     f1, f2 = F[chain].T
     span1, span2 = float(f1[-1] - f1[0]), float(f2[0] - f2[-1])
-    if not math.isfinite(span1 + span2):
-        return None
+    if capacity == 1 or not math.isfinite(span1 + span2):
+        rows = np.sort(chain)
+        return rows[_thin(F[rows], capacity, _codes(F[rows]))]
     crowd = _chain(f1, f2)
     f1, f2 = f1.tolist(), f2.tolist()
     prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))

@@ -1,4 +1,4 @@
-"""The comparison script runs one pair against the committed HEAD and
+"""The comparison script runs pairs against the committed HEAD and
 reports both sides, every run correct, in block and interleaved mode."""
 
 import importlib.util
@@ -28,21 +28,23 @@ def test_one_pair_against_head_reports_both_sides():
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout to extract HEAD from")
-def test_one_interleaved_pair_against_head_reports_the_ratios():
+def test_two_interleaved_pairs_against_head_report_the_ratios():
+    # one pair per half: workers started base first, then checkout first
     proc = subprocess.run(
-        [sys.executable, "tools/bench_record.py", "--base", "HEAD", "--interleave", "1",
+        [sys.executable, "tools/bench_record.py", "--base", "HEAD", "--interleave", "2",
          "--workload", "zdt1-molpb"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert "zdt1-molpb seed 1: HEAD" in out
-    assert "1 interleaved pairs, every repetition correct" in out
+    assert ("2 interleaved pairs in halves that swap which worker starts first, "
+            "every repetition correct") in out
     for metric in ("wall_s", "evals_per_s", "gen_ms_p50", "gen_ms_p95"):
         assert f"  {metric} " in out
     # per-process figures come from the block mode only
     assert "peak_rss_mb" not in out and "setup_s" not in out
-    assert out.count(" of 1  sign p 1 ") == 4
+    assert out.count(" of 2  sign p ") == 4
 
 
 def test_sign_test_is_exact_and_two_sided():

@@ -5,8 +5,8 @@ import pytest
 
 from mobench import engine as engine_module
 from mobench import molpb
-from mobench.archive import ParetoArchive
-from mobench.dominance import crowded_order, non_dominated_sort, rank_and_crowd
+from mobench.archive import ParetoArchive, _thin
+from mobench.dominance import _codes, crowded_order, non_dominated_sort, rank_and_crowd
 from mobench.errors import InvalidStateError
 from mobench.harness import ALGORITHMS, ENGINES
 from mobench.problems import decode
@@ -203,8 +203,9 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
     # whatever scheme ranks the rows and picks the archive's survivors, a
     # run is byte-identical to one that sorts by recounting dominators,
     # keeps the rows that no row dominates and no earlier row equals, and
-    # truncates with the general many-objective code; the patched MOLPB
-    # run never takes the chain path, so its helpers see every generation
+    # truncates with the general many-objective code on fresh codes; the
+    # patched MOLPB run never takes the chain path, so its helpers see
+    # every generation
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -218,7 +219,10 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
         rank, crowd = recount_rank_and_crowd(F)
         return crowded_order(rank, crowd)[:k], rank == 0
 
-    monkeypatch.setattr(ParetoArchive, "insert", oracle_insert(ParetoArchive.truncate))
+    def thin_from_scratch(self):
+        self._F = self._F[_thin(self._F, self.capacity, _codes(self._F))]
+
+    monkeypatch.setattr(ParetoArchive, "insert", oracle_insert(thin_from_scratch))
     monkeypatch.setattr(engine_module, "select", recount_select)
     monkeypatch.setattr(molpb, "rank_and_crowd", recount_rank_and_crowd)
     monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*recount_rank_and_crowd(F)))

@@ -34,7 +34,12 @@ and timing) for the seeds that ``run_bench.py --seed S`` gives its
 repetitions. Once both workers are set up, each runs one untimed
 warm-up repetition (its gate still checked), one worker after the other.
 Then the driver asks for one repetition at a time, in ABBA order (base
-first in even pairs). For ``wall_s``, ``evals_per_s``,
+first in even pairs). The worker started first runs a few percent
+faster, whichever side it serves, so the pairs come in two halves: the
+first (the larger, for an odd N) on workers started base first, the
+second on fresh workers, with their own warm-ups, started checkout
+first. Pair numbers run on across the halves, and a half with no pairs
+starts no workers. For ``wall_s``, ``evals_per_s``,
 ``gen_ms_p50`` and ``gen_ms_p95`` of each repetition it prints the
 per-pair ratio checkout / base (median and quartiles), the number of
 pairs that the checkout won and lost, and the exact two-sided sign-test
@@ -193,15 +198,29 @@ def worker(checkout: Path, workload: str) -> int:
 
 
 def interleave(checkouts: dict[str, Path], workload: str, seeds: list[int], n: int) -> dict:
-    """``n`` pairs of single repetitions per seed, one worker per side,
-    in ABBA order; a repetition that fails its gate ends the program."""
+    """``n`` pairs of single repetitions per seed, in ABBA order, the
+    first half on workers started base first and the second on workers
+    started checkout first; a repetition that fails its gate ends the
+    program."""
+    half = (n + 1) // 2
+    first = pairs_on_new_workers(checkouts, ("base", "change"), workload, seeds, range(half))
+    second = pairs_on_new_workers(checkouts, ("change", "base"), workload, seeds, range(half, n))
+    return {seed: first[seed] + second[seed] for seed in seeds}
+
+
+def pairs_on_new_workers(checkouts: dict[str, Path], sides: tuple[str, str], workload: str,
+                         seeds: list[int], indices: range) -> dict:
+    """The pairs ``indices`` of each seed, on one worker per side started
+    in the order ``sides``; no pair, no worker."""
+    if not indices:
+        return {seed: [] for seed in seeds}
     workers = {
         side: subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--worker", str(path),
+            [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkouts[side]),
              "--workload", workload],
-            cwd=path, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            cwd=checkouts[side], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        for side, path in checkouts.items()
+        for side in sides
     }
 
     def answer(side: str) -> dict:
@@ -226,14 +245,13 @@ def interleave(checkouts: dict[str, Path], workload: str, seeds: list[int], n: i
             answer(side)
         for side in workers:  # one untimed warm-up repetition each, its gate checked
             repetition(side, seeds[0], 0)
-        runs = {seed: [{side: repetition(side, seed, i) for side in abba(i)} for i in range(n)]
+        return {seed: [{side: repetition(side, seed, i) for side in abba(i)} for i in indices]
                 for seed in seeds}
     finally:
         for proc in workers.values():
             proc.stdin.close()
         for proc in workers.values():
             proc.wait()
-    return runs
 
 
 def compare_blocks(record: dict, args, checkouts: dict[str, Path], workloads: list[str],
@@ -271,8 +289,8 @@ def compare_interleaved(record: dict, args, checkouts: dict[str, Path], workload
             found, stats = verdicts(pairs, per_rep), ratios(pairs, metrics)
             record["interleaved"].append({"workload": workload, "seed": seed, "pairs": pairs,
                                           "ratios": stats, "verdicts": found})
-            print(f"{heading(record, args.base, workload, seed)}, "
-                  f"{len(pairs)} interleaved pairs, every repetition correct")
+            print(f"{heading(record, args.base, workload, seed)}, {len(pairs)} interleaved pairs "
+                  "in halves that swap which worker starts first, every repetition correct")
             for r, v in zip(stats, found):
                 q, b, c = r["ratio"], v["base"], v["change"]
                 print(f"  {r['metric']:12s} ratio {q['median']:.3f} [{q['q1']:.3f}, {q['q3']:.3f}]"
