@@ -34,11 +34,11 @@ and timing) for the seeds that ``run_bench.py --seed S`` gives its
 repetitions. Once both workers are set up, each runs one untimed
 warm-up repetition (its gate still checked), one worker after the other.
 Then the driver asks for one repetition at a time, in ABBA order (base
-first in even pairs). The worker started first runs a few percent
-faster, whichever side it serves, so the pairs come in two halves: the
-first (the larger, for an odd N) on workers started base first, the
-second on fresh workers, with their own warm-ups, started checkout
-first. Pair numbers run on across the halves, and a half with no pairs
+first in even pairs). A worker process keeps a speed of its own, and
+the one started first can run a few percent faster whichever side it
+serves, so the pairs come in two halves: the first (the larger, for an
+odd N) on workers started base first, the second on fresh workers,
+with their own warm-ups, started checkout first. Pair numbers run on across the halves, and a half with no pairs
 starts no workers. For ``wall_s``, ``evals_per_s``,
 ``gen_ms_p50`` and ``gen_ms_p95`` of each repetition it prints the
 per-pair ratio checkout / base (median and quartiles), the number of
