@@ -20,9 +20,8 @@ checkout first in even ones. Both sides run from sibling copies in one
 temporary directory: ``base`` holds ``git archive REV src bench``, and
 ``head`` a copy of the checkout's ``src/`` and ``bench/`` as they are on
 disk, without ``bench/out/`` and ``__pycache__``. Where a side's files
-live shifts its speed: runs from the checkout itself read about 2%
-faster than runs from an archive of the same commit in the temporary
-directory (a layout bias; Mytkowicz et al., ASPLOS 2009).
+live shifts its figures (a layout bias; Mytkowicz et al., ASPLOS 2009),
+so neither side runs from the checkout itself.
 
 With ``--seconds 0`` each run makes exactly one repetition, of seed
 ``S*1000``, besides ``run_bench.py``'s set-up samples. Every run is then
@@ -112,12 +111,6 @@ def abba(i: int) -> tuple[str, str]:
     return ("base", "change") if i % 2 == 0 else ("change", "base")
 
 
-def heading(record: dict, base: str, workload: str, seed: int) -> str:
-    """The first line of one comparison's report."""
-    return (f"{workload} seed {seed}: {base} ({record['base_sha'][:12]}) -> "
-            f"checkout ({record['git_sha'][:12]}{', dirty' if record['dirty'] else ''})")
-
-
 def sign_test(wins: int, losses: int) -> float:
     """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
     n = wins + losses
@@ -147,9 +140,10 @@ def sibling_copies(base_sha: str, tmp: Path) -> dict[str, Path]:
     """``tmp/base`` with ``src`` and ``bench`` of ``base_sha``, and
     ``tmp/head`` with the checkout's own, as they are on disk."""
     # Both sides run from directories of one parent whose names have the
-    # same length, on one file system: in A/A pairs of this tool's runs,
-    # the live checkout ran about 2% faster than a copy of itself under
-    # the temporary directory, and with sibling copies that bias is gone.
+    # same length. In A/A pairs at one commit, runs from the live checkout
+    # against runs from an archive under the temporary directory read
+    # peak_rss_mb 0.13-0.17% apart, one way in 24 of 30 pairs; sibling
+    # copies read 1.000 with no such sign (BENCH_aa_fresh_pairs.json).
     base, head = tmp / "base", tmp / "head"
     base.mkdir()
     archive = subprocess.run(["git", "archive", base_sha, "src", "bench"], cwd=ROOT,
@@ -173,20 +167,19 @@ def compare(record: dict, args, checkouts: dict[str, Path], workloads: list[str]
     record["comparisons"] = []
     for workload in workloads:
         for seed in args.seeds:
-            pairs = []
-            for i in range(args.pairs):
-                pairs.append({})
+            pairs = [{} for _ in range(args.pairs)]
+            for i, pair in enumerate(pairs):
                 for side in abba(i):
-                    run = run_bench(checkouts[side], workload, seed, args.seconds, 0)
-                    if not run["result"]["correct"]:
+                    pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, 0)
+                    if not pair[side]["result"]["correct"]:
                         raise SystemExit(f"a {side} run of {workload} (seed {seed}, pair {i + 1}) "
-                                         "is not correct:\n" + "\n".join(run["notes"]))
-                    pairs[-1][side] = run
+                                         "is not correct:\n" + "\n".join(pair[side]["notes"]))
             stats, found = ratios(pairs, metrics), verdicts(pairs, metrics)
             record["comparisons"].append({"workload": workload, "seed": seed, "pairs": pairs,
                                           "ratios": stats, "verdicts": found})
-            print(f"{heading(record, args.base, workload, seed)}, {len(pairs)} pairs, "
-                  "every run correct")
+            print(f"{workload} seed {seed}: {args.base} ({record['base_sha'][:12]}) -> checkout "
+                  f"({record['git_sha'][:12]}{', dirty' if record['dirty'] else ''}), "
+                  f"{len(pairs)} pairs, every run correct")
             for r, v in zip(stats, found):
                 q, b, c = r["ratio"], v["base"], v["change"]
                 print(f"  {r['metric']:12s} ratio {q['median']:.3f} [{q['q1']:.3f}, {q['q3']:.3f}]"
