@@ -16,7 +16,10 @@ newcomers in the merged set's first front (``rank == 0``) to the archive
 in one call. Each evaluated point is thus offered at most once, in the
 generation it is evaluated. No front-0 point is missed: a member in a
 merged first front was in the first front when it entered, since a row
-that dominated it then ranks lower and is kept whenever it is.
+that dominated it then ranks lower and is kept whenever it is. The merge
+also records whether no kept row dominates another (``one_front``): that
+holds exactly when every kept row is in the merged first front, which is
+kept whole before any row of a later front.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class Engine:
         self.F = np.empty((0, problem.n_objectives))
         self.evaluations = 0
         self.generation = 0
+        self.one_front = False
 
     def mating(self) -> tuple[np.ndarray, np.ndarray]:
         """Row indices ``(a, b)`` of the parents of the current generation,
@@ -94,12 +98,14 @@ class Engine:
     def _merge(self, X_new, F_new) -> None:
         """Elitist merge: keep the best ``n_pop`` rows of the population
         plus the newcomers in crowded order, and offer the newcomers in the
-        merged set's first front to the archive in one call."""
+        merged set's first front to the archive in one call; record whether
+        the kept rows are one front."""
         n = len(self.X)
         X = np.concatenate([self.X, X_new])
         F = np.concatenate([self.F, F_new])
         keep, top = select(F, self.config.n_pop)
         self.X, self.F = X[keep], F[keep]
+        self.one_front = bool(top[keep].all())
         self.archive.insert(F[n:][top[n:]])
 
     def initialize(self) -> None:

@@ -11,27 +11,23 @@ re-enter through an elitist merge with rank/crowding selection, and the
 offspring in the merged set's first front are offered, once, to a bounded
 external archive whose contents are the reported front.
 
-Most two-objective generations mate a population that is one chain: no
-row repeats or dominates another, so sorted by (f1, f2) its f2 strictly
-falls. Then every subset is a single front whose crowding is
-:func:`~mobench.dominance._chain` along that one order, the best of the
-bad half prunes nothing, and the joint ranking of main + good + bad is
-the whole population's, so a pivot precedes a main row exactly when the
-row's crowding is larger than the largest of the pivot's half.
-:meth:`MolpbEngine.mating` reads such a generation from the population's
-one sort (:func:`_chain_route`) and gives the same pairs from the same
-draws; every other population goes through :func:`split_good_bad`,
-:func:`best_of_bad`, :func:`filter_main` and :func:`route_main`.
+Most generations mate a population that is one front, in which no row
+dominates another though rows may repeat (``Engine.one_front``). Then the
+best of the bad half prunes nothing, and every crowded order, the joint
+one of main + good + bad included, is one-front crowding with ties by
+position, so :func:`_front_route` gives the same pairs from the same draws
+with two :func:`~mobench.dominance._front_crowding` calls. Every other
+population goes through :func:`split_good_bad`, :func:`best_of_bad`,
+:func:`filter_main` and :func:`route_main`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import _chain, _front_zero, crowded_first, crowded_order, rank_and_crowd
+from .dominance import _front_crowding, crowded_first, crowded_order, rank_and_crowd
 from .engine import Engine, EngineConfig
 from .errors import InvalidConfigError, InvalidInputError, InvalidStateError
 
@@ -106,37 +102,28 @@ def route_main(main, good, bad) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(kept & ahead), np.flatnonzero(kept & ~ahead)
 
 
-def _chain_route(F, separated, main):
+def _front_route(F, separated, main):
     """The good and bad halves of ``separated`` and the (perfect, good
-    extension) rows of ``main``, as :func:`split_good_bad`,
-    :func:`best_of_bad`, :func:`filter_main` and :func:`route_main` give
-    them, when the population ``F`` is one chain; otherwise ``None``.
+    extension) rows of ``main``, as the four general helpers give them,
+    when no row of the population ``F`` dominates another; ``None`` when a
+    joint crowding is NaN (overflowing spans), which only they order. A
+    pivot precedes a main row exactly when the row's crowding is larger
+    than the largest of the pivot's half."""
 
-    ``F`` is one chain when it has two objectives and :func:`_front_zero`
-    marks every row. The separated group's crowding is :func:`_chain`
-    along the population's order restricted to the group, and its
-    crowded order breaks ties by position in ``separated``. Spans that
-    overflow could make a crowding NaN, which only the general path
-    orders, so such a population takes it too.
-    """
-    if F.shape[1] != 2:
-        return None
-    order, f1, f2, best = _front_zero(F)
-    spans = float(f1[-1]) - float(f1[0]) + float(f2[0]) - float(f2[-1])
-    if not (best.all() and math.isfinite(spans)):
-        return None
-    crowd = np.empty(len(F))
-    crowd[order] = _chain(f1, f2)
-    at = np.full(len(F), -1)  # each row's position in separated
-    at[separated] = np.arange(len(separated))
-    on = at[order] >= 0
-    rows = order[on]  # the separated rows along the chain
-    ranked = rows[np.lexsort((at[rows], -_chain(f1[on], f2[on])))]
+    def crowding(rows):
+        G = F.T[:, rows]  # one row per objective
+        return _front_crowding(G.T, G.argsort(axis=1, kind="stable"))
+
+    ranked = separated[(-crowding(separated)).argsort(kind="stable")]
     half = len(ranked) // 2
     good, bad = ranked[:half], ranked[half:]
-    c = crowd[main]
-    kept = c > crowd[bad].max()
-    ahead = c > crowd[good].max()
+    crowd = crowding(np.concatenate([main, good, bad]))
+    if np.isnan(crowd).any():
+        return None
+    n = len(main)
+    c = crowd[:n]
+    kept = c > crowd[n + half :].max()
+    ahead = c > crowd[n : n + half].max()
     return good, bad, main[kept & ahead], main[kept & ~ahead]
 
 
@@ -154,9 +141,9 @@ class MolpbEngine(Engine):
         perm = self.rng.permutation(cfg.n_pop)
         split = int(DP * cfg.n_pop + 0.5)  # half-up; in [2, n_pop - 1] for n_pop >= 4
         separated, main = perm[:split], perm[split:]
-        chain = _chain_route(F, separated, main)
-        if chain is not None:
-            good, bad, perfect, extension = chain
+        route = _front_route(F, separated, main) if self.one_front else None
+        if route is not None:
+            good, bad, perfect, extension = route
         else:
             good_rows, bad_rows = split_good_bad(F[separated])
             good, bad = separated[good_rows], separated[bad_rows]

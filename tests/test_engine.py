@@ -9,17 +9,20 @@ from mobench.archive import ParetoArchive, _thin
 from mobench.dominance import _codes, crowded_order, non_dominated_sort, rank_and_crowd
 from mobench.errors import InvalidStateError
 from mobench.harness import ALGORITHMS, ENGINES
+from mobench.molpb import MolpbConfig, MolpbEngine
 from mobench.problems import decode
 from mobench.suite import get_problem
 
 from oracles import (
     crowded_selection_oracle,
+    dominates_scalar,
     distinct_non_dominated_python,
     partition_recount,
     rank_and_crowd_oracle,
     rank_array,
     truncation_oracle,
 )
+from test_molpb import four_helpers
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -155,7 +158,7 @@ def crowded_best(rank, crowd) -> int:
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monkeypatch):
     # one-pass and front-0-only crowding, the extremes pivot, MOLPB's
-    # chain path and incremental truncation are exact: a run is
+    # one-front route and incremental truncation are exact: a run is
     # byte-identical to one that ranks front by front, selects by sorting
     # rows one at a time, splits and routes every MOLPB generation through
     # the oracle-patched helpers, and recomputes every crowding distance
@@ -179,7 +182,7 @@ def test_runs_match_the_recompute_from_scratch_oracles(algorithm, problem, monke
     monkeypatch.setattr(engine_module, "select", crowded_selection_oracle)
     monkeypatch.setattr(molpb, "rank_and_crowd", rank_and_crowd_oracle)
     monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*rank_and_crowd_oracle(F)))
-    monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
+    monkeypatch.setattr(molpb, "_front_route", lambda F, separated, main: None)
     assert run() == fast
     assert sum(drops) > 0
 
@@ -204,8 +207,8 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
     # run is byte-identical to one that sorts by recounting dominators,
     # keeps the rows that no row dominates and no earlier row equals, and
     # truncates with the general many-objective code on fresh codes; the
-    # patched MOLPB run never takes the chain path, so its helpers see
-    # every generation
+    # patched MOLPB run never takes the one-front route, so its helpers
+    # see every generation
     engine_cls, config_cls = ENGINES[algorithm]
 
     def run():
@@ -226,5 +229,43 @@ def test_runs_match_the_scalar_sort_and_archive_oracles(algorithm, problem, monk
     monkeypatch.setattr(engine_module, "select", recount_select)
     monkeypatch.setattr(molpb, "rank_and_crowd", recount_rank_and_crowd)
     monkeypatch.setattr(molpb, "best_of_bad", lambda F: crowded_best(*recount_rank_and_crowd(F)))
-    monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
+    monkeypatch.setattr(molpb, "_front_route", lambda F, separated, main: None)
     assert run() == fast
+
+
+@pytest.mark.parametrize("problem", ["car_side_impact", "coil_spring"])
+def test_every_routed_molpb_generation_matches_the_four_helpers(problem, monkeypatch):
+    # on a four-objective problem and on one whose populations hold
+    # repeated rows, each generation that takes the one-front route gets
+    # the split and routing that the general helpers give its population
+    front_route = molpb._front_route
+    routed = []
+
+    def checked(F, separated, main):
+        got = front_route(F, separated, main)
+        if got is not None:
+            want = four_helpers(F, separated, main)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            routed.append(got)
+        return got
+
+    monkeypatch.setattr(molpb, "_front_route", checked)
+    MolpbEngine(MolpbConfig(max_generations=60, seed=1), get_problem(problem)).run()
+    assert len(routed) > 30
+
+
+@pytest.mark.parametrize("problem", ["zdt1", "car_side_impact"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_one_front_says_whether_a_row_dominates_another(algorithm, problem):
+    # the merge's flag, after the first population and after each
+    # generation, against scalar dominance over the kept rows
+    engine_cls, config_cls = ENGINES[algorithm]
+    engine = engine_cls(config_cls(seed=1), get_problem(problem))
+    seen = set()
+    for advance in [engine.initialize] + [engine.step] * 20:
+        advance()
+        rows = engine.F.tolist()
+        one_front = not any(dominates_scalar(a, b) for a in rows for b in rows)
+        assert engine.one_front == one_front
+        seen.add(one_front)
+    assert seen == {False, True}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobench import molpb
+from mobench.dominance import rank_and_crowd
 from mobench.errors import InvalidInputError, InvalidStateError
 from mobench.metrics import gd
 from mobench.molpb import (
@@ -148,40 +149,87 @@ def populations(draw):
 
 
 @st.composite
-def chains(draw):
-    """Two-column populations of 4-40 rows in shuffled order: one chain
-    (distinct rows, none dominating another), or a chain plus one row that
-    repeats a member or that a member dominates. The chain steps by 1 or 2
-    on a scaled grid, so equal crowding distances are common; it starts at
-    f1 = 0.0 and ends at f2 = 0.0, so a repeat there may be ``-0.0``; at
-    the largest scale the sum of the two spans can overflow."""
-    kind = draw(st.sampled_from(["chain", "repeat", "dominated"]))
-    n = draw(st.integers(4, 40)) - (kind != "chain")
-    steps = draw(st.lists(st.integers(1, 2), min_size=2 * n - 2, max_size=2 * n - 2))
-    scale = draw(st.sampled_from([1.0, 0.1, 2e306]))
-    f1 = np.concatenate([[0], np.cumsum(steps[: n - 1])]) * scale
-    f2 = np.concatenate([np.cumsum(steps[n - 1 :])[::-1], [0]]) * scale
-    F = np.column_stack([f1, f2])
-    if kind != "chain":
-        row = F[draw(st.integers(0, n - 1))]
-        if kind == "repeat":
-            extra = np.where(row == 0, draw(st.sampled_from([0.0, -0.0])), row)
+def one_fronts(draw):
+    """Populations of 4-40 rows with 2-4 objectives in which no row
+    dominates another: compositions of a total of 1-40 into m parts, that is
+    simplex rows on a grid, so rows repeat and values tie often; each 0.0 is
+    drawn as 0.0 or -0.0. Sometimes one column is stretched over
+    [-1e308, 1e308], or pushed to near -1e308 and 1e308; either map rises
+    with the part, so it adds no dominance. Its span overflows, and so do
+    its widest neighbour gaps, which makes some crowding distances NaN."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 40))
+    total = draw(st.integers(1, 40))
+    row = st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)
+    cuts = np.sort(draw(st.lists(row, min_size=n, max_size=n)), axis=1)
+    parts = np.diff(np.column_stack([np.zeros(n), cuts, np.full(n, total)]), axis=1)
+    F = parts * draw(st.sampled_from([1.0, 0.1, 2.5]))
+    stretch = draw(st.sampled_from([None, None, "over", "apart"]))
+    if stretch:
+        k = draw(st.integers(0, m - 1))
+        p = parts[:, k]
+        if stretch == "over":
+            F[:, k] = (2 * p / total - 1) * 1e308
         else:
-            extra = row + scale * np.array(draw(st.sampled_from([(0, 1), (1, 0), (2, 1)])))
-        F = np.vstack([F, extra])
-    return F[draw(st.permutations(range(len(F))))]
+            F[:, k] = np.where(2 * p < total, -1e308, 1e308) + p * 1e300
+    negative = draw(st.lists(st.booleans(), min_size=F.size, max_size=F.size))
+    return np.where((F == 0) & np.reshape(negative, F.shape), -0.0, F)
+
+
+def four_helpers(F, separated, main):
+    """The good and bad halves and the (perfect, good extension) rows that
+    :func:`split_good_bad`, :func:`best_of_bad`, :func:`filter_main` and
+    :func:`route_main` give for a split of the population ``F``."""
+    good_rows, bad_rows = split_good_bad(F[separated])
+    good, bad = separated[good_rows], separated[bad_rows]
+    kept = main[filter_main(F[main], F[bad[best_of_bad(F[bad])]])]
+    perfect, extension = route_main(F[kept], F[good], F[bad])
+    return good, bad, kept[perfect], kept[extension]
+
+
+def no_row_dominates_another(F):
+    rows = F.tolist()
+    return not any(dominates_scalar(a, b) for a in rows for b in rows)
+
+
+class TestFrontRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(one_fronts(), st.data())
+    def test_route_matches_the_four_helpers(self, F, data):
+        # for any split of a one-front population, the route gives what the
+        # general helpers give, or declines exactly when a joint crowding
+        # is NaN, which only they order
+        assert no_row_dominates_another(F)
+        order = np.array(data.draw(st.permutations(range(len(F)))))
+        split = data.draw(st.integers(2, len(F) - 1))
+        separated, main = order[:split], order[split:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            routed = molpb._front_route(F, separated, main)
+            want = four_helpers(F, separated, main)
+            joint = rank_and_crowd(F[np.concatenate([main, *want[:2]])])[1]
+        assert (routed is None) == bool(np.isnan(joint).any())
+        if routed is not None:
+            assert all(np.array_equal(got, w) for got, w in zip(routed, want))
+
+
+def mating(F, seed, one_front):
+    """The engine's parent pairs for the population ``F``, and the state its
+    generator is left in."""
+    engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
+    engine.F, engine.one_front = F, one_front
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = engine.mating()
+    return a.tolist(), b.tolist(), engine.rng.bit_generator.state
 
 
 def assert_mating_matches_oracle(F, seed):
     # the same pairs from the same draws: both calls leave the generator
     # in the same state
-    engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
-    engine.F = F
     rng = np.random.default_rng(seed)
-    a, b = engine.mating()
     want_a, want_b = molpb_mating_oracle(F, rng)
-    assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
-    assert engine.rng.bit_generator.state == rng.bit_generator.state
+    assert mating(F, seed, no_row_dominates_another(F)) == (
+        want_a.tolist(), want_b.tolist(), rng.bit_generator.state
+    )
 
 
 class TestMatingOracle:
@@ -190,44 +238,43 @@ class TestMatingOracle:
     def test_mating_matches_the_row_by_row_oracle(self, F, seed):
         assert_mating_matches_oracle(np.array(F), seed)
 
-    def test_chain_path_matches_the_row_by_row_oracle(self, monkeypatch):
-        # a population that is one chain takes the chain path, a near-chain
-        # (or one whose spans overflow) the general one; both give the
-        # oracle's pairs from the same draws
+    def test_front_route_matches_the_row_by_row_oracle(self, monkeypatch):
+        # a one-front population takes the route, or is declined when its
+        # joint crowding is NaN, and gives the general path's pairs from
+        # the same draws either way; with finite spans no crowding is NaN,
+        # and the pairs are the oracle's too (its sorts cannot place NaN);
+        # both branches are taken
         taken = {True: 0, False: 0}
-        chain_route = molpb._chain_route
+        front_route = molpb._front_route
 
         def counted(F, separated, main):
-            routed = chain_route(F, separated, main)
+            routed = front_route(F, separated, main)
             taken[routed is not None] += 1
             return routed
 
-        monkeypatch.setattr(molpb, "_chain_route", counted)
+        monkeypatch.setattr(molpb, "_front_route", counted)
 
         @settings(max_examples=200, deadline=None)
-        @given(chains(), st.integers(0, 2**32 - 1))
+        @given(one_fronts(), st.integers(0, 2**32 - 1))
         def check(F, seed):
-            assert_mating_matches_oracle(F, seed)
+            assert mating(F, seed, True) == mating(F, seed, False)
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(F.max(axis=0) - F.min(axis=0)).all()
+            if finite:
+                assert_mating_matches_oracle(F, seed)
 
         check()
         assert taken[True] > 0 and taken[False] > 0
 
     def test_a_chain_whose_spans_overflow_takes_the_general_path(self, monkeypatch):
         # the neighbour gap of the row at f1 = 0 overflows, as do both
-        # spans, so its crowding is NaN, which only the general path orders
-        # (last); so that population gives the general path's pairs
+        # spans, so its joint crowding is NaN, which only the general path
+        # orders (last); so that population gives the general path's pairs
         f1 = np.array([-1.6e308, -1.2e308, -1e308, 0.0, 1e308, 1.2e308, 1.6e308, 1.7e308])
         F = np.column_stack([f1, -f1])[[5, 2, 7, 0, 3, 6, 1, 4]]
-
-        def pairs(seed):
-            engine = MolpbEngine(MolpbConfig(n_pop=len(F), seed=seed), get_problem("zdt1"))
-            engine.F = F
-            with np.errstate(over="ignore", invalid="ignore"):
-                return [x.tolist() for x in engine.mating()]
-
-        fast = [pairs(seed) for seed in range(40)]
-        monkeypatch.setattr(molpb, "_chain_route", lambda F, separated, main: None)
-        assert fast == [pairs(seed) for seed in range(40)]
+        fast = [mating(F, seed, True) for seed in range(40)]
+        monkeypatch.setattr(molpb, "_front_route", lambda F, separated, main: None)
+        assert fast == [mating(F, seed, True) for seed in range(40)]
 
 
 class TestEngine:
