@@ -19,7 +19,8 @@ merged first front was in the first front when it entered, since a row
 that dominated it then ranks lower and is kept whenever it is. The merge
 also records whether no kept row dominates another (``one_front``): that
 holds exactly when every kept row is in the merged first front, which is
-kept whole before any row of a later front.
+kept whole before any row of a later front, that is when the last kept
+row is.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class Engine:
         F = np.concatenate([self.F, F_new])
         keep, top = select(F, self.config.n_pop)
         self.X, self.F = X[keep], F[keep]
-        self.one_front = bool(top[keep].all())
+        self.one_front = bool(top[keep[-1]])  # keep is in crowded order, lowest rank first
         self.archive.insert(F[n:][top[n:]])
 
     def initialize(self) -> None:

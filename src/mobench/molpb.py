@@ -107,8 +107,8 @@ def _front_route(F, separated, main):
     extension) rows of ``main``, as the four general helpers give them,
     when no row of the population ``F`` dominates another; ``None`` when a
     joint crowding is NaN (overflowing spans), which only they order. A
-    pivot precedes a main row exactly when the row's crowding is larger
-    than the largest of the pivot's half."""
+    main row precedes a pivot exactly when its crowding is larger than the
+    largest of the pivot's half."""
 
     def crowding(rows):
         G = F.T[:, rows]  # one row per objective
